@@ -19,7 +19,7 @@ from .divisors import (Certificate, CuspClass, CuspDivisor, HeegnerDivisor,
                        cusp_classes, cusp_count, cusp_space_dimension,
                        eta_divisor, eta_order, fricke_image, heegner_data,
                        heegner_degree, reduced_forms, solve_cusp_matching)
-from .fracq import FracSeries, eta_series, generalized_pow, substitute_power
+from .fracq import FracSeries, eta_series
 from .heckeops import hecke_tp, level_u, level_v, xi_tp, xi_u, xi_v
 from .verify import SUITES, SuiteResult, run_suite
 from .vvforms import (DecompositionError, VVExpansion, XiImage, apply_aut,
@@ -29,7 +29,7 @@ from .vvforms import (DecompositionError, VVExpansion, XiImage, apply_aut,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FracSeries", "eta_series", "generalized_pow", "substitute_power",
+    "FracSeries", "eta_series",
     "qvalue", "atkin_lehner", "divisors", "exact_divisors",
     "is_exact_divisor", "divisor_classes", "euler_phi", "index_gamma0",
     "VVExpansion", "XiImage", "theta_series", "apply_aut", "basis_m_half",

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
+from operator import mul
 
-from .fracq import FracSeries, eta_series, generalized_pow
+from .fracq import FracSeries, eta_series
 from .vvforms import VVExpansion, basis_m_half, decompose
 
 
@@ -81,42 +83,62 @@ class ProductResult:
         }
 
 
+def _euler_transform(table: dict, size: int) -> list:
+    """Coefficients of prod_n (1 - q^n)^table[n] at q^0, ..., q^(size - 1).
+
+    The log-derivative recurrence (Euler transform): with
+    b(k) = -sum_{n | k} n * table[n], p(0) = 1 and
+    m * p(m) = sum_{1 <= k <= m} b(k) * p(m - k).  With integer exponents
+    everything stays in ints and each division by m must be exact.
+    """
+    integral = all(c.denominator == 1 for c in table.values())
+    b = [0] * size
+    for n, c in table.items():
+        if c and n < size:
+            step = n * (c.numerator if integral else c)
+            for k in range(n, size, n):
+                b[k] -= step
+    p = [1]
+    for m in range(1, size):
+        s = sum(map(mul, b[1:m + 1], reversed(p)))
+        if integral:
+            s, rem = divmod(s, m)
+            if rem:
+                raise ArithmeticError(f"integer exponents gave a non-integer at q^{m}")
+            p.append(s)
+        else:
+            p.append(Fraction(s, m))
+    return p
+
+
 def borcherds_product(f: VVExpansion, weyl=None, prec=200) -> ProductResult:
     """Expand q^weyl * prod (1 - q^n)^(a(n^2, n)) through prec coefficients.
 
     The result is exact below exponent weyl + prec.  When weyl is omitted it
     is computed from the theta-basis decomposition of f; the weight reported
-    is the coefficient at slot (0, 0).
+    is the coefficient at slot (0, 0).  The product is expanded by the Euler
+    transform, never multiplied out factor by factor.
     """
     prec = Fraction(prec)
     if prec < 1:
         raise ValueError("prec must be at least 1")
-    if weyl is None:
-        weyl = weyl_vector(f)
-    else:
-        weyl = Fraction(weyl)
-    nmax = int(prec)
-    table = exponent_table(f, nmax)
-    prod = FracSeries.one(prec)
-    for n in range(1, nmax + 1):
-        e = table[n]
-        if e:
-            prod = prod * generalized_pow(n, e, prec)
+    weyl = weyl_vector(f) if weyl is None else Fraction(weyl)
+    table = exponent_table(f, int(prec))
+    prod = FracSeries(1, dict(enumerate(_euler_transform(table, ceil(prec)))), prec)
     expansion = FracSeries.monomial(weyl, 1, weyl + prec) * prod
-    result = ProductResult(
-        weight=f.holo.get((0, 0), Fraction(0)),
-        weyl=weyl,
-        expansion=expansion,
-        exponents=table,
-    )
+    result = ProductResult(f.holo.get((0, 0), Fraction(0)), weyl, expansion, table)
     result.validate()
     return result
 
 
 def eta_product(N: int, d: int, prec) -> FracSeries:
-    """q-expansion of eta(d z) * eta((N/d) z) for a divisor d of N."""
-    if N % d:
-        raise ValueError(f"{d} does not divide {N}")
+    """q-expansion of eta(d z) * eta((N/d) z) for a divisor d of N.
+
+    Multiplies two pentagonal eta series: the side of the eta identities
+    that does not go through the Euler transform.
+    """
+    if d < 1 or N % d:
+        raise ValueError(f"d = {d} must be a positive integer that divides {N}")
     prec = Fraction(prec)
     return eta_series(d, prec) * eta_series(N // d, prec)
 

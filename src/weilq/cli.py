@@ -103,8 +103,6 @@ def _cmd_product(args) -> str:
 
 
 def _cmd_eta(args) -> str:
-    if args.N % args.d:
-        raise ValueError("--d must divide --N")
     series = eta_product(args.N, args.d, Fraction(args.prec))
     return _dump(series.to_json())
 

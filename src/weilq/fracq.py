@@ -39,7 +39,8 @@ class FracSeries:
         if denom <= 0:
             raise ValueError("lattice denominator must be positive")
         trunc = _frac(trunc)
-        bound = trunc * denom
+        # ceil(trunc * denom) in ints: for an integer e, e < bound iff e/denom < trunc
+        bound = -(-trunc.numerator * denom // trunc.denominator)
         kept = {}
         for e, c in terms.items():
             if c and e < bound:
@@ -152,7 +153,7 @@ class FracSeries:
         sa, sb = M // self.denom, M // other.denom
         # Sound bound: below it every product coefficient is determined.
         trunc = min(self.trunc + other.vmin, other.trunc + self.vmin)
-        bound = trunc * M
+        bound = -(-trunc.numerator * M // trunc.denominator)
         bs = [(e * sb, c) for e, c in sorted(other.terms.items())]
         out = {}
         if bs:
@@ -223,30 +224,6 @@ class FracSeries:
         return cls(int(data["denom"]), terms, Fraction(data["trunc"]))
 
 
-def generalized_pow(n: int, e, prec) -> FracSeries:
-    """Binomial expansion of (1 - q^n)^e for a rational exponent e.
-
-    Coefficients are (-1)^j * binomial(e, j) at q^(n*j); for integer e >= 0
-    the expansion terminates on its own, otherwise it is truncated at
-    exponent ``prec``.
-    """
-    if n < 1:
-        raise ValueError("inner exponent n must be a positive integer")
-    e = _frac(e)
-    prec = _frac(prec)
-    terms = {}
-    coeff = Fraction(1)
-    j = 0
-    while n * j < prec:
-        if coeff:
-            terms[n * j] = coeff if j % 2 == 0 else -coeff
-        j += 1
-        coeff = coeff * (e - j + 1) / j
-        if not coeff and e.denominator == 1 and j > e >= 0:
-            break
-    return FracSeries(1, terms, prec)
-
-
 def eta_series(d: int, prec) -> FracSeries:
     """q-expansion of eta(d*z) = q^(d/24) * prod_{n>=1} (1 - q^(d*n)).
 
@@ -271,8 +248,3 @@ def eta_series(d: int, prec) -> FracSeries:
             break
         k += 1
     return FracSeries(24, terms, prec)
-
-
-def substitute_power(f: FracSeries, d: int) -> FracSeries:
-    """Replace q by q^d in a series (exponents and truncation scale by d)."""
-    return f.substitute(d)

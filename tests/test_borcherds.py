@@ -1,5 +1,6 @@
 """Product expansions, Weyl exponents, eta products, identity reports."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,13 @@ from weilq.borcherds import (ProductResult, borcherds_product, eta_product,
                              exponent_table, verify_eta_identity, weyl_vector)
 from weilq.fracq import FracSeries
 from weilq.vvforms import (VVExpansion, apply_aut, basis_m_half,
-                           random_supported, theta_series)
+                           is_supported, random_supported, theta_series)
+
+
+def one_factor(n, e, prec):
+    """q^0 * (1 - q^n)^e through prec, from a level-one single-slot input."""
+    f = VVExpansion(1, F(1, 2), 1, {(n * n, n % 2): F(e)}, {}, prec * prec)
+    return borcherds_product(f, 0, prec).expansion
 
 
 class TestExponentTable:
@@ -117,6 +124,95 @@ class TestBorcherdsProduct:
         assert FracSeries.from_json(data["expansion"]) == res.expansion
 
 
+class TestEulerTransform:
+    """Single factors and rational exponents, each against another route."""
+
+    def test_integer_power_terminates(self):
+        # (1 - q^2)^3 = 1 - 3q^2 + 3q^4 - q^6
+        assert one_factor(2, 3, 100).terms == {0: 1, 2: -3, 4: 3, 6: -1}
+
+    def test_zero_power(self):
+        assert one_factor(5, 0, 100) == FracSeries.one(100)
+
+    def test_matches_repeated_multiplication(self):
+        base = FracSeries(1, {0: F(1), 3: F(-1)}, 40)
+        direct = FracSeries.one(40)
+        for _ in range(5):
+            direct = direct * base
+        assert one_factor(3, 5, 40) == direct.truncate(40)
+
+    def test_negative_power_is_inverse(self):
+        # (1 - q^2)^-4 times (1 - q^2)^4 multiplied out factor by factor
+        prod = one_factor(2, -4, 30)
+        for _ in range(4):
+            prod = prod * FracSeries(1, {0: F(1), 2: F(-1)}, 30)
+        assert prod.truncate(30) == FracSeries.one(30)
+
+    def test_rational_power_squares_back(self):
+        # exponents 0, 1/2 and 1 on the left, integers on the right
+        prec = 40
+        f = apply_aut(theta_series(6, prec * prec), 2).scaled(F(1, 2))
+        half = borcherds_product(f, F(5, 48), prec)
+        assert F(1, 2) in half.exponents.values()
+        whole = borcherds_product(f.scaled(2), F(5, 24), prec)
+        square = half.expansion * half.expansion
+        assert square.truncate(whole.expansion.trunc) == whole.expansion
+
+    def test_exp_log_oracle(self):
+        # independent check: (1-q)^e == exp(e * log(1-q)) as formal series
+        e = F(5, 3)
+        prec = 20
+        log_term = FracSeries(1, {k: F(-1, k) for k in range(1, prec)}, prec)
+        scaled = log_term * e
+        expo = FracSeries.one(prec)
+        power = FracSeries.one(prec)
+        fact = 1
+        for j in range(1, prec):
+            power = power * scaled
+            fact *= j
+            expo = expo + power * F(1, fact)
+        assert one_factor(1, e, prec) == expo.truncate(prec)
+
+
+class TestProductWindow:
+    def test_unread_slots_do_not_matter(self):
+        # garbage in every slot the window does not read: off the diagonal
+        # (n^2, n), in the negative-index table, and on the diagonal at n >=
+        # prec, where a fractional exponent also switches off the int path
+        rng = random.Random(5)
+        for N, prec in ((1, 12), (6, 15), (10, F(15, 2))):
+            trunc = 20 * 20
+            base = apply_aut(theta_series(N, trunc), N)
+            weyl = F(1 + N, 24)
+            noisy = {}
+            for gamma in range(2 * N):
+                for n in range(-trunc, trunc + 1):
+                    if is_supported(N, 1, n, gamma):
+                        noisy[(n, gamma)] = F(2 * rng.randint(-5, 5) + 1,
+                                              rng.choice((2, 4, 6)))
+            for n in range(1, 20):
+                if n < prec:
+                    noisy.pop((n * n, n % (2 * N)))
+                    if base.get(n * n, n):
+                        noisy[(n * n, n % (2 * N))] = base.get(n * n, n)
+            nonholo = {k: c for k, c in noisy.items() if k[0] < 0}
+            garbage = VVExpansion(N, base.weight, 1, noisy, nonholo, trunc)
+            want = borcherds_product(base, weyl, prec)
+            got = borcherds_product(garbage, weyl, prec)
+            assert got.expansion == want.expansion
+            assert got.expansion.trunc == weyl + prec
+
+    def test_half_integral_precision(self):
+        # prec 15/2 still needs the factor at n = 7 and the term q^7
+        assert one_factor(7, 1, F(15, 2)) == FracSeries(1, {0: 1, 7: -1},
+                                                         F(15, 2))
+        bound = F(7, 24) + F(15, 2)
+        res = borcherds_product(theta_series(6, 64), F(7, 24), F(15, 2))
+        assert res.expansion.trunc == bound
+        assert res.expansion == eta_product(6, 1, bound).truncate(bound)
+        assert res.expansion.coefficient(F(7, 24) + 7)
+
+
 class TestEtaProduct:
     def test_squared_eta(self):
         from weilq.fracq import eta_series
@@ -133,6 +229,9 @@ class TestEtaProduct:
     def test_rejects_nondivisor(self):
         with pytest.raises(ValueError):
             eta_product(6, 4, 10)
+        for d in (0, -2):
+            with pytest.raises(ValueError, match="positive"):
+                eta_product(6, d, 10)
 
 
 class TestEtaIdentity:

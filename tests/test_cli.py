@@ -157,6 +157,11 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "divide" in json.loads(err)["error"]
 
+    def test_eta_zero_divisor(self, capsys):
+        code, out, err = run(capsys, ["eta", "--N", "6", "--d", "0"])
+        assert code == 2 and out == ""
+        assert "divide" in json.loads(err)["error"]
+
     def test_apply_missing_parameter(self, capsys, monkeypatch):
         theta_json = json.dumps(theta_series(1, 10).to_json())
         code, _, err = run(capsys, ["apply", "--op", "tp"],

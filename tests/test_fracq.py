@@ -2,11 +2,11 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 
-from weilq.fracq import FracSeries, eta_series, generalized_pow, substitute_power
+from weilq.fracq import FracSeries, eta_series
 
 
 def series(denom, terms, trunc):
@@ -100,6 +100,21 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             a * 0.5
 
+    def test_fractional_truncation_bound(self):
+        # trunc 7/3 scales to a non-integer bound 7M/3 on the lattices
+        # M = 1 and 2: the exponent just below is kept, the one at its
+        # ceiling dropped, both on construction and in a product
+        t = F(7, 3)
+        for M in (1, 2, 3):
+            at = ceil(t * M)
+            below = at - 1
+            built = series(M, {below: F(1), at: F(1)}, t)
+            assert built.items() == [(F(below, M), F(1))]
+            dense = series(M, {e: F(1) for e in range(at + 1)}, 10)
+            prod = dense * series(1, {0: F(1)}, t)
+            assert prod.trunc == t
+            assert prod.items()[-1] == (F(below, M), F(1))
+
     def test_product_truncation_is_sound(self):
         # (q^2 + O(q^5)) * (q^3 + O(q^4)): reliable below min(5+3, 4+2) = 6
         a = series(1, {2: F(1)}, 5)
@@ -147,54 +162,8 @@ class TestArithmetic:
         b = a.substitute(3)
         assert b.coefficient(F(3, 2)) == 3
         assert b.trunc == 15
-        assert substitute_power(a, 3) == b
         with pytest.raises(ValueError):
             a.substitute(0)
-
-
-class TestGeneralizedPow:
-    def test_integer_power_terminates(self):
-        p = generalized_pow(2, 3, 1000)
-        # (1 - q^2)^3 = 1 - 3q^2 + 3q^4 - q^6
-        assert p.terms == {0: F(1), 2: F(-3), 4: F(3), 6: F(-1)}
-
-    def test_zero_power(self):
-        assert generalized_pow(5, 0, 100) == FracSeries.one(100)
-
-    def test_matches_repeated_multiplication(self):
-        base = series(1, {0: F(1), 3: F(-1)}, 40)
-        direct = FracSeries.one(40)
-        for _ in range(5):
-            direct = direct * base
-        assert generalized_pow(3, 5, 40) == direct.truncate(40)
-
-    def test_negative_power_is_inverse(self):
-        prod = generalized_pow(2, -4, 30) * generalized_pow(2, 4, 30)
-        assert prod.truncate(30) == FracSeries.one(30)
-
-    def test_rational_power_squares_back(self):
-        half = generalized_pow(3, F(1, 2), 30)
-        sq = half * half
-        assert sq.truncate(30) == generalized_pow(3, 1, 30)
-
-    def test_exp_log_oracle(self):
-        # independent check: (1-q)^e == exp(e * log(1-q)) as formal series
-        e = F(5, 3)
-        prec = 20
-        log_term = FracSeries(1, {k: F(-1, k) for k in range(1, prec)}, prec)
-        scaled = log_term * e
-        expo = FracSeries.one(prec)
-        power = FracSeries.one(prec)
-        fact = 1
-        for j in range(1, prec):
-            power = power * scaled
-            fact *= j
-            expo = expo + power * F(1, fact)
-        assert generalized_pow(1, e, prec) == expo.truncate(prec)
-
-    def test_bad_inner_exponent(self):
-        with pytest.raises(ValueError):
-            generalized_pow(0, 2, 10)
 
 
 class TestEtaSeries:
