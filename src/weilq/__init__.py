@@ -20,11 +20,10 @@ from .divisors import (Certificate, CuspClass, CuspDivisor, HeegnerDivisor,
                        eta_divisor, eta_order, fricke_image, heegner_data,
                        heegner_degree, reduced_forms, solve_cusp_matching)
 from .fracq import FracSeries, eta_series
-from .heckeops import hecke_tp, level_u, level_v, xi_tp, xi_u, xi_v
+from .heckeops import hecke_tp, level_u, level_v
 from .verify import SUITES, SuiteResult, run_suite
-from .vvforms import (DecompositionError, VVExpansion, XiImage, apply_aut,
-                      basis_m_half, decompose, formal_xi, random_supported,
-                      theta_series)
+from .vvforms import (DecompositionError, VVExpansion, apply_aut, basis_m_half,
+                      decompose, formal_xi, random_supported, theta_series)
 
 __version__ = "0.1.0"
 
@@ -32,9 +31,9 @@ __all__ = [
     "FracSeries", "eta_series",
     "qvalue", "atkin_lehner", "divisors", "exact_divisors",
     "is_exact_divisor", "divisor_classes", "euler_phi", "index_gamma0",
-    "VVExpansion", "XiImage", "theta_series", "apply_aut", "basis_m_half",
+    "VVExpansion", "theta_series", "apply_aut", "basis_m_half",
     "decompose", "formal_xi", "random_supported", "DecompositionError",
-    "hecke_tp", "level_u", "level_v", "xi_tp", "xi_u", "xi_v",
+    "hecke_tp", "level_u", "level_v",
     "ProductResult", "EtaIdentityReport", "borcherds_product", "eta_product",
     "exponent_table", "verify_eta_identity", "weyl_vector",
     "CuspClass", "CuspDivisor", "HeegnerDivisor", "HeegnerReport",

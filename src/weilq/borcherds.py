@@ -25,6 +25,8 @@ def exponent_table(f: VVExpansion, nmax: int) -> dict:
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
+    if f.radical:
+        raise ValueError("a radical shadow table has no product expansion")
     if f.trunc < nmax * nmax:
         raise ValueError(
             f"truncation {f.trunc} is insufficient for an exponent table to "

@@ -234,19 +234,6 @@ def _p1_reps(N: int):
     return tuple(reps)
 
 
-def _ext_gcd(a: int, b: int):
-    """(g, s, t) with a*s + b*t = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 @lru_cache(maxsize=None)
 def _coset_reps(N: int):
     """Matrices (a, b, c, d) representing the mu left cosets of level N.
@@ -264,10 +251,9 @@ def _coset_reps(N: int):
             tries += 1
             if tries > max(a, 1) + 1:
                 raise RuntimeError(f"failed to lift ({x}:{y}) mod {N}")
-        g, s, t = _ext_gcd(a, c)
-        if g != 1:
-            raise RuntimeError(f"lift of ({x}:{y}) is not coprime")
-        reps.append((a, -t, c, s))
+        d = pow(a, -1, c) if c else 1
+        b = (a * d - 1) // c if c else 0
+        reps.append((a, b, c, d))
     if len(reps) != index_gamma0(N):
         raise RuntimeError(f"coset enumeration at level {N} has the wrong size")
     return tuple(reps)

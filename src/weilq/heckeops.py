@@ -3,7 +3,8 @@
 All operators act slot-by-slot on the coefficient tables; the holomorphic
 and the negative-index tables transform by the same index formulas.  Each
 function returns a fresh expansion whose truncation records the tight range
-on which the output is exact.
+on which the output is exact.  They act on radical (formal shadow) tables
+too, where they are the operators transported through formal_xi.
 """
 
 from __future__ import annotations
@@ -11,25 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .discform import divisors
-from .vvforms import VVExpansion, XiImage
+from .discform import divisors, prime_factors
+from .vvforms import VVExpansion
 
 _ZERO = Fraction(0)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def _require_good_prime(p: int, N: int) -> None:
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if gcd(p, 2 * N) != 1:
         raise ValueError(f"prime {p} divides 2N = {2 * N}; this operator "
@@ -134,21 +124,40 @@ def _v_table(table: dict, N: int, rep: int, ell: int, a_exp: int,
 # ----- operators on expansions -----------------------------------------
 
 
+def _gather_frame(f: VVExpansion, w: int):
+    """Gather weight and the first index of the holo and nonholo windows.
+
+    On a radical table, carrying the implicit sqrt(m/4N) through the index
+    formulas turns T_p and V_l into the plain gathers taken at weight k - 1
+    (up to a global power of p or l), and only 1 <= m <= w is walked: the
+    nonholo window starts at 0 and so is empty.
+    """
+    if f.radical:
+        return f.weight - 1, 1, 0
+    return f.weight, -w, -w
+
+
 def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
     """Hecke operator T_p for a prime p coprime to 2N.
 
     The reliable window shrinks by p^2 because the leading term reads the
-    coefficient at p^2 n.
+    coefficient at p^2 n.  On a radical table of weight k the result is p
+    times the plain three-term gather taken at weight k - 1.
     """
     _require_good_prime(p, f.N)
     w = f.trunc // (p * p)
+    weight, lo, lo_nonholo = _gather_frame(f, w)
+    holo = _tp_table(f.holo, f.N, f.rep, p, weight, lo, w)
+    if f.radical:
+        holo = {s: p * v for s, v in holo.items()}
     return VVExpansion(
         f.N,
         f.weight,
         f.rep,
-        _tp_table(f.holo, f.N, f.rep, p, f.weight, -w, w),
-        _tp_table(f.nonholo, f.N, f.rep, p, f.weight, -w, -1),
+        holo,
+        _tp_table(f.nonholo, f.N, f.rep, p, weight, lo_nonholo, -1),
         w,
+        f.radical,
     )
 
 
@@ -156,7 +165,8 @@ def level_u(f: VVExpansion, d: int) -> VVExpansion:
     """Index raising U_d: level N -> N d^2, coefficient (n,g) -> (n/d^2, g/d).
 
     Indices scale by d^2, so the reliable integer window grows by d^2 (the
-    underlying rational exponent window n/(4N d^2) is unchanged).
+    underlying rational exponent window n/(4N d^2) is unchanged).  The
+    radical weight re-bases itself, so radical tables move the same way.
     """
     if d < 1:
         raise ValueError("index raising requires a positive integer")
@@ -169,73 +179,30 @@ def level_u(f: VVExpansion, d: int) -> VVExpansion:
         _u_table(f.holo, f.N, d),
         _u_table(f.nonholo, f.N, d),
         f.trunc * d * d,
+        f.radical,
     )
 
 
 def level_v(f: VVExpansion, ell: int) -> VVExpansion:
-    """Index spreading V_ell: level N -> N*ell with a-weights a^(k-1/2)."""
+    """Index spreading V_ell: level N -> N*ell with a-weights a^(k-1/2).
+
+    On a radical table of weight k the a-weights are a^(k-3/2) and a global
+    factor ell^(3/2-k) applies; at k = 3/2 this is a plain divisor sum.
+    """
     if ell < 1:
         raise ValueError("index spreading requires a positive integer")
     if ell == 1:
         return f
-    a_exp = int(f.weight - Fraction(1, 2))
     w = f.trunc
+    weight, lo, lo_nonholo = _gather_frame(f, w)
+    a_exp = int(weight - Fraction(1, 2))
+    pref = _int_pow(ell, Fraction(3, 2) - f.weight) if f.radical else Fraction(1)
     return VVExpansion(
         f.N * ell,
         f.weight,
         f.rep,
-        _v_table(f.holo, f.N, f.rep, ell, a_exp, -w, w),
-        _v_table(f.nonholo, f.N, f.rep, ell, a_exp, -w, -1),
+        _v_table(f.holo, f.N, f.rep, ell, a_exp, lo, w, pref),
+        _v_table(f.nonholo, f.N, f.rep, ell, a_exp, lo_nonholo, -1),
         w,
-    )
-
-
-# ----- transported operators on formal xi images -----------------------
-
-
-def xi_tp(X: XiImage, p: int) -> XiImage:
-    """T_p transported through the radical-weight convention.
-
-    With k the upstream weight (k = 2 - X.weight) the table transforms by
-        p * r(p^2 m, p gamma) + p^(1/2-k) (rep*m/p) r(m, gamma)
-                              + p^(1-2k) r(m/p^2, gamma/p),
-    which is p times the plain three-term gather taken at weight 1-k.
-    """
-    _require_good_prime(p, X.N)
-    k = 2 - X.weight
-    w = X.trunc // (p * p)
-    core = _tp_table(X.r, X.N, X.rep, p, 1 - k, 1, w)
-    return XiImage(X.N, X.weight, X.rep, {s: p * v for s, v in core.items()}, w)
-
-
-def xi_u(X: XiImage, d: int) -> XiImage:
-    """Index raising on a formal xi image; the radial weight re-bases itself."""
-    if d < 1:
-        raise ValueError("index raising requires a positive integer")
-    if d == 1:
-        return X
-    return XiImage(X.N * d * d, X.weight, X.rep, _u_table(X.r, X.N, d),
-                   X.trunc * d * d)
-
-
-def xi_v(X: XiImage, ell: int) -> XiImage:
-    """Index spreading on a formal xi image.
-
-    In radical-weighted coordinates the divisor sum carries a-weights
-    a^(1/2-k) and a global ell^(k-1/2), k the upstream weight; at k = 1/2
-    both collapse to 1 and this is a plain divisor sum.
-    """
-    if ell < 1:
-        raise ValueError("index spreading requires a positive integer")
-    if ell == 1:
-        return X
-    k = 2 - X.weight
-    a_exp = int(Fraction(1, 2) - k)
-    pref = _int_pow(ell, k - Fraction(1, 2))
-    return XiImage(
-        X.N * ell,
-        X.weight,
-        X.rep,
-        _v_table(X.r, X.N, X.rep, ell, a_exp, 1, X.trunc, pref),
-        X.trunc,
+        f.radical,
     )

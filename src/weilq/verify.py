@@ -20,7 +20,7 @@ from .discform import divisor_classes, divisors, exact_divisors, index_gamma0
 from .divisors import (CuspDivisor, cusp_space_dimension, eta_divisor,
                        eta_order, fricke_image, heegner_degree,
                        solve_cusp_matching, cusp_classes)
-from .heckeops import hecke_tp, level_u, level_v, xi_tp, xi_u, xi_v
+from .heckeops import hecke_tp, level_u, level_v
 from .vvforms import (apply_aut, basis_m_half, formal_xi, random_supported,
                       theta_series)
 
@@ -140,11 +140,11 @@ def _usub_cases(N: int, prec: int, d_max: int):
     basis = basis_m_half(N, prec * prec)
     for dclass, f in zip(divisor_classes(N), basis):
         weyl = Fraction(dclass + N // dclass, 24)
-        base = borcherds_product(f, weyl, prec)
+        base = eta_product(N, dclass, weyl + prec)
         for d in range(1, d_max + 1):
             cases += 1
             lifted = borcherds_product(level_u(f, d), d * weyl, prec)
-            expected = base.expansion.substitute(d)
+            expected = base.substitute(d)
             wit = _series_witness(lifted.expansion, expected)
             if wit is not None:
                 failures.append({"N": N, "d_class": dclass, "d": d,
@@ -154,7 +154,7 @@ def _usub_cases(N: int, prec: int, d_max: int):
 
 def suite_usub(n_max: int = 30, prec: int = 200, d_max: int = 5,
                jobs: int = 1) -> SuiteResult:
-    """Raising the index substitutes q -> q^d in the Borcherds product."""
+    """Raising the index substitutes q -> q^d in the eta product."""
     pairs = _pmap(partial(_usub_cases, prec=prec, d_max=d_max),
                   range(1, n_max + 1), jobs)
     return _gather("usub", pairs)
@@ -236,10 +236,10 @@ def _xi_cases(N: int, count: int, op_max: int, trunc: int, seed: int):
         c = rng.choice(exact_divisors(N))
         checks = [
             ("T", formal_xi(hecke_tp(f, p)),
-             xi_tp(x, p).scaled(Fraction(1, p))),
+             hecke_tp(x, p).scaled(Fraction(1, p))),
             ("sigma", formal_xi(apply_aut(f, c)), apply_aut(x, c)),
-            ("U", formal_xi(level_u(f, d)), xi_u(x, d)),
-            ("V", formal_xi(level_v(f, ell)), xi_v(x, ell)),
+            ("U", formal_xi(level_u(f, d)), level_u(x, d)),
+            ("V", formal_xi(level_v(f, ell)), level_v(x, ell)),
         ]
         for name, left, right in checks:
             cases += 1

@@ -65,6 +65,11 @@ class VVExpansion:
     holo and nonholo map (n, gamma) -> Fraction with canonical gamma in
     [0, 2N); nonholo keys have n < 0.  trunc is an integer window: all
     entries with |n| <= trunc are exact, larger indices are unspecified.
+
+    A radical table (radical=True) is a formal shadow: holo maps (m, gamma)
+    with m > 0 to the coefficient relative to an implicit radical weight
+    sqrt(m/4N), which keeps every stored value rational, and nonholo is
+    empty.  The support rule reads m = rep * gamma^2 mod 4N as usual.
     """
 
     N: int
@@ -73,10 +78,16 @@ class VVExpansion:
     holo: dict
     nonholo: dict
     trunc: int
+    radical: bool = False
 
     @property
     def epsilon(self) -> int:
         return symmetry_sign(self.weight, self.rep)
+
+    @property
+    def _kind(self) -> tuple:
+        """What two expansions must share to be added or compared."""
+        return self.N, self.weight, self.rep, self.radical
 
     def get(self, n: int, gamma: int, part: str = "holo") -> Fraction:
         table = self.holo if part == "holo" else self.nonholo
@@ -90,6 +101,10 @@ class VVExpansion:
             for (n, gamma), c in table.items():
                 if not c:
                     raise ValueError(f"stored zero at {part}{(n, gamma)}")
+                if self.radical and part == "nonholo":
+                    raise ValueError(f"nonholo entry in radical table at {(n, gamma)}")
+                if self.radical and n <= 0:
+                    raise ValueError(f"non-positive index at {(n, gamma)}")
                 if not 0 <= gamma < two_n:
                     raise ValueError(f"non-canonical index at {part}{(n, gamma)}")
                 if not is_supported(self.N, self.rep, n, gamma):
@@ -103,7 +118,8 @@ class VVExpansion:
 
     def scaled(self, factor) -> "VVExpansion":
         if factor == 0:
-            return VVExpansion(self.N, self.weight, self.rep, {}, {}, self.trunc)
+            return VVExpansion(self.N, self.weight, self.rep, {}, {}, self.trunc,
+                               self.radical)
         return VVExpansion(
             self.N,
             self.weight,
@@ -111,12 +127,13 @@ class VVExpansion:
             {k: factor * c for k, c in self.holo.items()},
             {k: factor * c for k, c in self.nonholo.items()},
             self.trunc,
+            self.radical,
         )
 
     def __add__(self, other):
         if not isinstance(other, VVExpansion):
             return NotImplemented
-        if (self.N, self.weight, self.rep) != (other.N, other.weight, other.rep):
+        if self._kind != other._kind:
             raise ValueError("cannot add expansions of different type")
         holo = dict(self.holo)
         for k, c in other.holo.items():
@@ -132,9 +149,8 @@ class VVExpansion:
                 nonholo[k] = v
             else:
                 nonholo.pop(k, None)
-        return VVExpansion(
-            self.N, self.weight, self.rep, holo, nonholo, min(self.trunc, other.trunc)
-        )
+        return VVExpansion(self.N, self.weight, self.rep, holo, nonholo,
+                           min(self.trunc, other.trunc), self.radical)
 
     def agrees_with(self, other, window=None):
         """Exact table comparison on the common reliable index range.
@@ -142,9 +158,8 @@ class VVExpansion:
         Returns (True, None) or (False, witness) where the witness names the
         first differing slot.
         """
-        if (self.N, self.weight, self.rep) != (other.N, other.weight, other.rep):
-            return False, ("type", (self.N, self.weight, self.rep),
-                           (other.N, other.weight, other.rep))
+        if self._kind != other._kind:
+            return False, ("type", self._kind, other._kind)
         w = min(self.trunc, other.trunc)
         if window is not None:
             w = min(w, window)
@@ -160,127 +175,33 @@ class VVExpansion:
         return True, None
 
     def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "k": str(self.weight),
-            "rep": "rho" if self.rep == 1 else "dual",
-            "holo": [[n, g, str(self.holo[(n, g)])] for n, g in sorted(self.holo)],
-            "nonholo": [[n, g, str(self.nonholo[(n, g)])]
-                        for n, g in sorted(self.nonholo)],
-            "trunc": self.trunc,
-        }
+        """JSON tables; a radical table writes its one table under "r"."""
+        data = {"N": self.N, "k": str(self.weight),
+                "rep": "rho" if self.rep == 1 else "dual"}
+        tables = ({"r": self.holo} if self.radical
+                  else {"holo": self.holo, "nonholo": self.nonholo})
+        for name, table in tables.items():
+            data[name] = [[n, g, str(table[(n, g)])] for n, g in sorted(table)]
+        data["trunc"] = self.trunc
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "VVExpansion":
-        N = int(data["N"])
-        rep = {"rho": 1, "dual": -1}[data["rep"]]
-        holo = _clean_table(
-            N, rep, {(int(n), int(g)): Fraction(c) for n, g, c in data["holo"]}
-        )
-        nonholo = _clean_table(
-            N, rep, {(int(n), int(g)): Fraction(c) for n, g, c in data["nonholo"]}
-        )
-        return cls(N, Fraction(data["k"]), rep, holo, nonholo, int(data["trunc"]))
-
-
-@dataclass
-class XiImage:
-    """Image of an expansion under the formal differential pairing.
-
-    The table r maps (m, gamma) with m > 0 to the coefficient relative to an
-    implicit radical weight sqrt(m/4N), which keeps every stored value
-    rational.  The rep flag is the expansion's own (already dualized) flag,
-    so the support rule reads m = rep * gamma^2 mod 4N exactly as for
-    VVExpansion.
-    """
-
-    N: int
-    weight: Fraction
-    rep: int
-    r: dict
-    trunc: int
-
-    @property
-    def epsilon(self) -> int:
-        return symmetry_sign(self.weight, self.rep)
-
-    def get(self, m: int, gamma: int) -> Fraction:
-        return self.r.get((m, gamma % (2 * self.N)), Fraction(0))
-
-    def validate(self) -> None:
-        eps = self.epsilon
-        two_n = 2 * self.N
-        for (m, gamma), c in self.r.items():
-            if not c:
-                raise ValueError(f"stored zero at {(m, gamma)}")
-            if m <= 0:
-                raise ValueError(f"non-positive index at {(m, gamma)}")
-            if not 0 <= gamma < two_n:
-                raise ValueError(f"non-canonical index at {(m, gamma)}")
-            if not is_supported(self.N, self.rep, m, gamma):
-                raise ValueError(f"support violation at {(m, gamma)}")
-            if m > self.trunc:
-                raise ValueError(f"entry beyond truncation at {(m, gamma)}")
-            if self.r.get((m, (-gamma) % two_n), Fraction(0)) != eps * c:
-                raise ValueError(f"symmetry violation at {(m, gamma)}")
-
-    def scaled(self, factor) -> "XiImage":
-        if factor == 0:
-            return XiImage(self.N, self.weight, self.rep, {}, self.trunc)
-        return XiImage(
-            self.N,
-            self.weight,
-            self.rep,
-            {k: factor * c for k, c in self.r.items()},
-            self.trunc,
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, XiImage):
-            return NotImplemented
-        if (self.N, self.weight, self.rep) != (other.N, other.weight, other.rep):
-            raise ValueError("cannot add images of different type")
-        r = dict(self.r)
-        for k, c in other.r.items():
-            v = r.get(k, Fraction(0)) + c
-            if v:
-                r[k] = v
-            else:
-                r.pop(k, None)
-        return XiImage(self.N, self.weight, self.rep, r, min(self.trunc, other.trunc))
-
-    def agrees_with(self, other, window=None):
-        if (self.N, self.weight, self.rep) != (other.N, other.weight, other.rep):
-            return False, ("type", (self.N, self.weight, self.rep),
-                           (other.N, other.weight, other.rep))
-        w = min(self.trunc, other.trunc)
-        if window is not None:
-            w = min(w, window)
-        keys = {k for k in self.r if k[0] <= w} | {k for k in other.r if k[0] <= w}
-        for k in sorted(keys):
-            va = self.r.get(k, Fraction(0))
-            vb = other.r.get(k, Fraction(0))
-            if va != vb:
-                return False, ("r", k, va, vb)
-        return True, None
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "k": str(self.weight),
-            "rep": "rho" if self.rep == 1 else "dual",
-            "r": [[m, g, str(self.r[(m, g)])] for m, g in sorted(self.r)],
-            "trunc": self.trunc,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "XiImage":
-        N = int(data["N"])
-        rep = {"rho": 1, "dual": -1}[data["rep"]]
-        r = _clean_table(
-            N, rep, {(int(m), int(g)): Fraction(c) for m, g, c in data["r"]}
-        )
-        return cls(N, Fraction(data["k"]), rep, r, int(data["trunc"]))
+        """Read the holo/nonholo layout; a malformed value raises ValueError."""
+        try:
+            N = int(data["N"])
+            trunc = int(data["trunc"])
+            rep = {"rho": 1, "dual": -1}[data["rep"]]
+            weight = Fraction(data["k"])
+            holo = {(int(n), int(g)): Fraction(c) for n, g, c in data["holo"]}
+            nonholo = {(int(n), int(g)): Fraction(c) for n, g, c in data["nonholo"]}
+        except TypeError as exc:
+            raise ValueError(f"malformed expansion JSON: {exc}") from None
+        if N < 1 or trunc < 0:
+            raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, "
+                             f"trunc = {trunc}")
+        return cls(N, weight, rep, _clean_table(N, rep, holo),
+                   _clean_table(N, rep, nonholo), trunc)
 
 
 # ----- constructions ----------------------------------------------------
@@ -292,6 +213,8 @@ def theta_series(N: int, trunc: int) -> VVExpansion:
     The component gamma collects q^(m^2/4N) over integers m = gamma mod 2N,
     so the coefficient at (n, gamma) counts such m with m^2 = n.
     """
+    if N < 1:
+        raise ValueError("level N must be a positive integer")
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
     holo = {}
@@ -302,18 +225,10 @@ def theta_series(N: int, trunc: int) -> VVExpansion:
     return VVExpansion(N, Fraction(1, 2), 1, holo, {}, trunc)
 
 
-def apply_aut(f, c: int):
+def apply_aut(f: VVExpansion, c: int) -> VVExpansion:
     """Relabel components through the Atkin-Lehner involution sigma_c."""
     N = f.N
     perm = {g: atkin_lehner(N, c, g) for g in range(2 * N)}
-    if isinstance(f, XiImage):
-        return XiImage(
-            N,
-            f.weight,
-            f.rep,
-            {(m, perm[g]): v for (m, g), v in f.r.items()},
-            f.trunc,
-        )
     return VVExpansion(
         N,
         f.weight,
@@ -321,6 +236,7 @@ def apply_aut(f, c: int):
         {(n, perm[g]): v for (n, g), v in f.holo.items()},
         {(n, perm[g]): v for (n, g), v in f.nonholo.items()},
         f.trunc,
+        f.radical,
     )
 
 
@@ -357,6 +273,8 @@ def decompose(f: VVExpansion, basis: list) -> list:
                                  "for the representation itself")
     if f.nonholo:
         raise DecompositionError("expansion has a non-holomorphic part")
+    if f.radical:
+        raise DecompositionError("a radical shadow table is not a q-expansion")
     if not basis:
         raise DecompositionError("empty basis")
     for b in basis:
@@ -400,16 +318,16 @@ def decompose(f: VVExpansion, basis: list) -> list:
     return coords
 
 
-def formal_xi(f: VVExpansion) -> XiImage:
-    """Repackage the negative-index table as a weight 2-k object.
+def formal_xi(f: VVExpansion) -> VVExpansion:
+    """Repackage the negative-index table as a weight 2-k radical table.
 
-    The entry r(m, gamma) is the nonholo coefficient at (-m, gamma); the
+    The entry at (m, gamma) is the nonholo coefficient at (-m, gamma); the
     irrational radial factor sqrt(m/4N) and the global constant of the
     differential pairing are left implicit, which is what keeps the table
     rational and level-independent.
     """
     r = {(-n, g): c for (n, g), c in f.nonholo.items()}
-    return XiImage(f.N, 2 - f.weight, -f.rep, r, f.trunc)
+    return VVExpansion(f.N, 2 - f.weight, -f.rep, r, {}, f.trunc, radical=True)
 
 
 def random_supported(N: int, weight, rep: int, seed: int, trunc: int) -> VVExpansion:

@@ -162,6 +162,44 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "divide" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("level", ["-3", "0"])
+    def test_theta_nonpositive_level(self, capsys, level):
+        code, out, err = run(capsys, ["theta", "--N", level])
+        assert code == 2 and out == ""
+        assert "positive" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("field, value", [("N", 0), ("trunc", -1)])
+    @pytest.mark.parametrize("op", [["sigma", "--c", "1"], ["ud", "--d", "2"]])
+    def test_apply_bad_level_or_window(self, capsys, monkeypatch, field, value,
+                                       op):
+        data = theta_series(1, 10).to_json()
+        data[field] = value
+        code, out, err = run(capsys, ["apply", "--op", *op],
+                             stdin_text=json.dumps(data), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "N >= 1" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("part", ["holo", "nonholo", "N"])
+    def test_null_field(self, capsys, monkeypatch, part):
+        data = theta_series(1, 10).to_json()
+        data[part] = None
+        code, out, err = run(capsys, ["apply", "--op", "sigma", "--c", "1"],
+                             stdin_text=json.dumps(data), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "malformed" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [["product"], ["apply", "--op", "ud", "--d", "2"]])
+    def test_shadow_table_is_not_an_input(self, capsys, monkeypatch, argv):
+        f = VVExpansion(1, F(1, 2), 1, {(0, 0): F(1)},
+                        {(-3, 1): F(2)}, 20)
+        _, shadow, _ = run(capsys, ["xi"], stdin_text=json.dumps(f.to_json()),
+                           monkeypatch=monkeypatch)
+        assert json.loads(shadow)["r"]
+        code, out, err = run(capsys, argv, stdin_text=shadow,
+                             monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "holo" in json.loads(err)["error"]
+
     def test_apply_missing_parameter(self, capsys, monkeypatch):
         theta_json = json.dumps(theta_series(1, 10).to_json())
         code, _, err = run(capsys, ["apply", "--op", "tp"],

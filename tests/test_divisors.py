@@ -7,10 +7,10 @@ import pytest
 
 from weilq.discform import divisor_classes, divisors, euler_phi, index_gamma0
 from weilq.divisors import (Certificate, CuspDivisor, _coset_reps, _p1_reps,
-                            converse_pipeline, cusp_classes, cusp_count,
-                            cusp_space_dimension, eta_divisor, eta_order,
-                            fricke_image, heegner_data, heegner_degree,
-                            reduced_forms, solve_cusp_matching)
+                            _proj_automorph_order, converse_pipeline,
+                            cusp_classes, cusp_count, cusp_space_dimension,
+                            eta_divisor, eta_order, fricke_image, heegner_data,
+                            heegner_degree, reduced_forms, solve_cusp_matching)
 from weilq.heckeops import legendre
 
 
@@ -225,17 +225,25 @@ class TestHeegnerDegree:
                 assert heegner_degree(1, -D, gamma) == hurwitz_oracle(D), D
 
     def test_prime_level_factorization(self):
-        # independent oracle: summing over the residue symbols multiplies the
-        # Hurwitz count by the number of isotropic lines mod p, 1 + (n/p)
-        for p in (3, 5, 7, 11):
-            for D in range(3, 60):
+        # independent oracle (Gross-Kohnen-Zagier): for an odd prime p not
+        # dividing n, summing over the roots gamma multiplies the Hurwitz
+        # class number H(|n|) by the number of isotropic lines mod p,
+        # 1 + (n/p); this catches coset-list faults that are symmetric in gamma
+        cases = 0
+        for p in (3, 5, 7, 11, 13):
+            for D in range(3, 160):
                 n = -D
-                if n % 4 not in (0, 1) or gcd(D, 2 * p) != 1:
+                if n % 4 not in (0, 1) or D % p == 0:
                     continue
+                hurwitz = sum((F(1, _proj_automorph_order(*form))
+                               for form in reduced_forms(n)), F(0))
+                assert hurwitz == hurwitz_oracle(D), D
                 gammas = [g for g in range(2 * p)
                           if (g * g - n) % (4 * p) == 0]
                 total = sum((heegner_degree(p, n, g) for g in gammas), F(0))
-                assert total == (1 + legendre(n, p)) * hurwitz_oracle(D), (p, n)
+                assert total == (1 + legendre(n, p)) * hurwitz, (p, n)
+                cases += 1
+        assert cases == 329
 
     def test_gamma_symmetry(self):
         for N in (2, 3, 4, 6, 10):

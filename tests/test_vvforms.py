@@ -5,8 +5,9 @@ from math import gcd, isqrt
 
 import pytest
 
+from weilq.borcherds import borcherds_product
 from weilq.discform import divisor_classes
-from weilq.vvforms import (DecompositionError, VVExpansion, XiImage, apply_aut,
+from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
                            basis_m_half, decompose, formal_xi, is_supported,
                            random_supported, symmetry_sign, theta_series)
 
@@ -248,17 +249,45 @@ class TestFormalXi:
 
     def test_empty_nonholo(self):
         x = formal_xi(theta_series(6, 20))
-        assert not x.r
+        assert x.radical
+        assert not x.holo and not x.nonholo
 
-    def test_xi_image_json_round_trip(self):
+    def test_json_layout(self):
         x = formal_xi(random_supported(3, F(1, 2), 1, seed=9, trunc=50))
-        y = XiImage.from_json(x.to_json())
-        assert y == x
+        data = x.to_json()
+        assert list(data) == ["N", "k", "rep", "r", "trunc"]
+        assert data["r"] == [[m, g, str(c)] for (m, g), c in sorted(x.holo.items())]
+        assert data["r"]
 
     def test_xi_image_validate(self):
-        bad = XiImage(1, F(3, 2), -1, {(-3, 1): F(1)}, 10)
+        bad = VVExpansion(1, F(3, 2), -1, {(-3, 1): F(1)}, {}, 10, radical=True)
         with pytest.raises(ValueError, match="non-positive"):
             bad.validate()
+
+    def test_validate_rejects_nonholo(self):
+        bad = VVExpansion(1, F(3, 2), -1, {}, {(-3, 1): F(1)}, 10, radical=True)
+        with pytest.raises(ValueError, match="nonholo"):
+            bad.validate()
+
+    def test_radical_table_is_not_a_product_input(self):
+        x = formal_xi(random_supported(3, F(3, 2), -1, seed=11, trunc=50))
+        assert (x.weight, x.rep) == (F(1, 2), 1)
+        with pytest.raises(DecompositionError, match="radical"):
+            decompose(x, basis_m_half(3, 50))
+        with pytest.raises(ValueError, match="radical"):
+            borcherds_product(x, 0, 5)
+
+    def test_radical_and_plain_do_not_mix(self):
+        x = formal_xi(random_supported(3, F(1, 2), 1, seed=10, trunc=50))
+        plain = VVExpansion(x.N, x.weight, x.rep, dict(x.holo), {}, x.trunc)
+        plain.validate()
+        with pytest.raises(ValueError):
+            x + plain
+        with pytest.raises(ValueError):
+            plain + x
+        ok, wit = x.agrees_with(plain)
+        assert not ok and wit[0] == "type"
+        assert plain.agrees_with(x)[1][0] == "type"
 
 
 class TestRandomSupported:
