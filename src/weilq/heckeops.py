@@ -1,10 +1,10 @@
 """Hecke, index-raising and index-spreading operators on the expansions.
 
-All operators act slot-by-slot on the coefficient tables; the holomorphic
-and the negative-index tables transform by the same index formulas.  Each
-function returns a fresh expansion whose truncation records the tight range
-on which the output is exact.  They act on radical (formal shadow) tables
-too, where they are the operators transported through formal_xi.
+All operators scatter stored entries into their output slots, so the cost
+follows the entry count, not the window; holo and nonholo tables transform
+alike.  Each function returns a fresh expansion whose truncation records the
+tight range on which the output is exact.  On radical (formal shadow) tables
+they are the operators transported through formal_xi.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from math import gcd
 
 from .discform import divisors, prime_factors
 from .vvforms import VVExpansion
-
-_ZERO = Fraction(0)
 
 
 def _require_good_prime(p: int, N: int) -> None:
@@ -40,25 +38,17 @@ def _int_pow(base: int, expo: Fraction) -> Fraction:
     return Fraction(base) ** int(expo)
 
 
-def _supported_slots(N: int, rep: int, lo: int, hi: int):
-    """All (n, gamma) with lo <= n <= hi on the support lattice."""
-    four_n = 4 * N
-    for gamma in range(2 * N):
-        r = (rep * gamma * gamma) % four_n
-        start = lo + ((r - lo) % four_n)
-        for n in range(start, hi + 1, four_n):
-            yield n, gamma
-
-
 def _tp_table(table: dict, N: int, rep: int, p: int, weight: Fraction,
               lo: int, hi: int) -> dict:
-    """Three-term T_p gather at a given weight.
+    """Three-term T_p scatter at a given weight.
 
     Output slot (n, gamma) collects
         a(p^2 n, p gamma) + p^(k-3/2) (rep*n/p) a(n, gamma)
                           + p^(2k-2) a(n/p^2, gamma/p),
     the last term only when p^2 divides n; gamma/p means multiplication by
-    the inverse of p mod 2N.
+    the inverse of p mod 2N.  Read from the stored side, an entry (m, delta)
+    feeds (m/p^2, delta/p), (m, delta) and (p^2 m, p delta); only outputs
+    with lo <= n <= hi are kept.
     """
     two_n = 2 * N
     pinv = pow(p, -1, two_n)
@@ -66,16 +56,18 @@ def _tp_table(table: dict, N: int, rep: int, p: int, weight: Fraction,
     w2 = _int_pow(p, 2 * weight - 2)
     p2 = p * p
     out = {}
-    for n, gamma in _supported_slots(N, rep, lo, hi):
-        v = table.get((p2 * n, (p * gamma) % two_n), _ZERO)
-        chi = legendre(rep * n, p)
+    for (m, delta), c in table.items():
+        if m % p2 == 0 and lo <= m // p2 <= hi:
+            key = (m // p2, (pinv * delta) % two_n)
+            out[key] = out[key] + c if key in out else c
+        chi = legendre(rep * m, p) if lo <= m <= hi else 0
         if chi:
-            v = v + chi * w1 * table.get((n, gamma), _ZERO)
-        if n % p2 == 0:
-            v = v + w2 * table.get((n // p2, (pinv * gamma) % two_n), _ZERO)
-        if v:
-            out[(n, gamma)] = v
-    return out
+            v = chi * w1 * c
+            out[(m, delta)] = out[(m, delta)] + v if (m, delta) in out else v
+        if lo <= p2 * m <= hi:
+            key = (p2 * m, (p * delta) % two_n)
+            out[key] = out[key] + w2 * c if key in out else w2 * c
+    return {k: v for k, v in out.items() if v}
 
 
 def _u_table(table: dict, N: int, d: int) -> dict:
@@ -93,44 +85,48 @@ def _u_table(table: dict, N: int, d: int) -> dict:
 
 
 def _v_table(table: dict, N: int, rep: int, ell: int, a_exp: int,
-             lo: int, hi: int, prefactor=Fraction(1)) -> dict:
-    """Divisor-sum gather for the index-spreading operator.
+             lo: int, hi: int, prefactor=1) -> dict:
+    """Divisor-sum scatter for the index-spreading operator.
 
     At output level N*ell the slot (n, gamma) collects a^a_exp times the
     entry at (n/a^2, gamma/a) over positive a dividing
-    gcd((gamma^2 - rep*n)/(4*N*ell), gamma, ell); the first gcd argument is
-    an integer exactly when the slot satisfies the output support rule, and
-    gcd(0, x) = x throughout.
+    gcd((gamma^2 - rep*n)/(4*N*ell), gamma, ell).  So an entry (m, delta)
+    and a divisor a of ell feed (a^2 m, a*(delta + 2N t)) for the t < ell/a
+    where ell/a divides N t^2 + delta t + (delta^2 - rep*m)/(4N), an integer
+    by the support rule; only outputs with lo <= n <= hi are kept.
     """
-    out = {}
-    n_out = N * ell
-    four = 4 * n_out
     two_n = 2 * N
-    for n, gamma in _supported_slots(n_out, rep, lo, hi):
-        x = (gamma * gamma - rep * n) // four
-        g = gcd(gcd(abs(x), gamma), ell)
-        tot = _ZERO
-        for a in divisors(g):
-            if n % (a * a):
+    spread = [(a, a * a, ell // a, Fraction(a) ** a_exp) for a in divisors(ell)]
+    roots = {}  # (a, delta) -> {N t^2 + delta t mod ell/a: [t, ...]}
+    out = {}
+    for (m, delta), c in table.items():
+        e = (rep * m - delta * delta) // (2 * two_n)
+        for a, a2, count, weight in spread:
+            n = a2 * m
+            if not lo <= n <= hi:
                 continue
-            c = table.get((n // (a * a), (gamma // a) % two_n))
-            if c:
-                tot += Fraction(a) ** a_exp * c
-        if tot:
-            out[(n, gamma)] = prefactor * tot
-    return out
+            if (a, delta) not in roots:
+                roots[(a, delta)] = by_res = {}
+                for t in range(count):
+                    by_res.setdefault((N * t * t + delta * t) % count, []).append(t)
+            for t in roots[(a, delta)].get(e % count, ()):
+                v = c if a == 1 or a_exp == 0 else weight * c
+                key = (n, a * (delta + two_n * t))
+                out[key] = out[key] + v if key in out else v
+    return {k: v if prefactor == 1 else prefactor * v
+            for k, v in out.items() if v}
 
 
 # ----- operators on expansions -----------------------------------------
 
 
-def _gather_frame(f: VVExpansion, w: int):
-    """Gather weight and the first index of the holo and nonholo windows.
+def _kernel_frame(f: VVExpansion, w: int):
+    """Kernel weight and the first index of the holo and nonholo windows.
 
     On a radical table, carrying the implicit sqrt(m/4N) through the index
-    formulas turns T_p and V_l into the plain gathers taken at weight k - 1
-    (up to a global power of p or l), and only 1 <= m <= w is walked: the
-    nonholo window starts at 0 and so is empty.
+    formulas turns T_p and V_l into the plain kernels taken at weight k - 1
+    (up to a global power of p or l), and only outputs with 1 <= m <= w are
+    kept: the nonholo window starts at 0 and so is empty.
     """
     if f.radical:
         return f.weight - 1, 1, 0
@@ -142,11 +138,11 @@ def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
 
     The reliable window shrinks by p^2 because the leading term reads the
     coefficient at p^2 n.  On a radical table of weight k the result is p
-    times the plain three-term gather taken at weight k - 1.
+    times the plain three-term kernel taken at weight k - 1.
     """
     _require_good_prime(p, f.N)
     w = f.trunc // (p * p)
-    weight, lo, lo_nonholo = _gather_frame(f, w)
+    weight, lo, lo_nonholo = _kernel_frame(f, w)
     holo = _tp_table(f.holo, f.N, f.rep, p, weight, lo, w)
     if f.radical:
         holo = {s: p * v for s, v in holo.items()}
@@ -194,9 +190,9 @@ def level_v(f: VVExpansion, ell: int) -> VVExpansion:
     if ell == 1:
         return f
     w = f.trunc
-    weight, lo, lo_nonholo = _gather_frame(f, w)
+    weight, lo, lo_nonholo = _kernel_frame(f, w)
     a_exp = int(weight - Fraction(1, 2))
-    pref = _int_pow(ell, Fraction(3, 2) - f.weight) if f.radical else Fraction(1)
+    pref = _int_pow(ell, Fraction(3, 2) - f.weight) if f.radical else 1
     return VVExpansion(
         f.N * ell,
         f.weight,

@@ -82,6 +82,9 @@ def _expansion_witness(got, expected):
     ok, slot = got.agrees_with(expected, window)
     if ok:
         return None
+    if slot[0] == "type":  # (N, k, rep, radical) of each side
+        return {"part": "type", "got": list(map(str, slot[1])),
+                "expected": list(map(str, slot[2]))}
     part, key, va, vb = slot
     return {"part": part, "slot": list(key), "got": str(va),
             "expected": str(vb), "window": window}

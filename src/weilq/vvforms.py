@@ -155,8 +155,8 @@ class VVExpansion:
     def agrees_with(self, other, window=None):
         """Exact table comparison on the common reliable index range.
 
-        Returns (True, None) or (False, witness) where the witness names the
-        first differing slot.
+        Returns (True, None) or (False, witness): the first differing slot in
+        sorted order, or ("type", kind, kind).  Stored zeros count as absent.
         """
         if self._kind != other._kind:
             return False, ("type", self._kind, other._kind)
@@ -164,10 +164,11 @@ class VVExpansion:
         if window is not None:
             w = min(w, window)
         for part in ("holo", "nonholo"):
-            ta = getattr(self, part)
-            tb = getattr(other, part)
-            keys = {k for k in ta if abs(k[0]) <= w} | {k for k in tb if abs(k[0]) <= w}
-            for k in sorted(keys):
+            ta = {k: c for k, c in getattr(self, part).items() if abs(k[0]) <= w}
+            tb = {k: c for k, c in getattr(other, part).items() if abs(k[0]) <= w}
+            if ta == tb:
+                continue
+            for k in sorted(ta.keys() | tb.keys()):
                 va = ta.get(k, Fraction(0))
                 vb = tb.get(k, Fraction(0))
                 if va != vb:

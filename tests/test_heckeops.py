@@ -1,12 +1,99 @@
 """Hecke, index-raising and index-spreading operators, also on shadow tables."""
 
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+from weilq.discform import divisors, exact_divisors
 from weilq.heckeops import hecke_tp, legendre, level_u, level_v
 from weilq.vvforms import (VVExpansion, apply_aut, formal_xi, random_supported,
                            theta_series)
+
+WEIGHTS = (F(-1, 2), F(1, 2), F(3, 2), F(5, 2))
+
+
+# ----- slow reference: the operators as gathers over the output window ---
+
+
+def _window_slots(N, rep, lo, hi):
+    """Every (n, gamma) with lo <= n <= hi on the support lattice."""
+    for gamma in range(2 * N):
+        start = lo + (rep * gamma * gamma - lo) % (4 * N)
+        for n in range(start, hi + 1, 4 * N):
+            yield n, gamma
+
+
+def _gather_tp(table, N, rep, p, weight, lo, hi):
+    """Slot (n, g) collects a(p^2 n, p g) + p^(k-3/2) (rep n/p) a(n, g)
+    + p^(2k-2) a(n/p^2, g/p)."""
+    two_n, p2 = 2 * N, p * p
+    w1 = F(p) ** int(weight - F(3, 2))
+    w2 = F(p) ** int(2 * weight - 2)
+    out = {}
+    for n, g in _window_slots(N, rep, lo, hi):
+        v = (F(table.get((p2 * n, p * g % two_n), 0))
+             + legendre(rep * n, p) * w1 * table.get((n, g), 0))
+        if n % p2 == 0:
+            v += w2 * table.get((n // p2, pow(p, -1, two_n) * g % two_n), 0)
+        if v:
+            out[(n, g)] = v
+    return out
+
+
+def _gather_v(table, N, rep, ell, a_exp, lo, hi, prefactor=1):
+    """Slot (n, g) at level N*ell collects a^a_exp a(n/a^2, g/a) over
+    a | gcd((g^2 - rep n)/(4 N ell), g, ell)."""
+    out = {}
+    for n, g in _window_slots(N * ell, rep, lo, hi):
+        x = (g * g - rep * n) // (4 * N * ell)
+        tot = sum(F(a) ** a_exp * table.get((n // (a * a), g // a % (2 * N)), 0)
+                  for a in divisors(gcd(x, g, ell)) if n % (a * a) == 0)
+        if tot:
+            out[(n, g)] = prefactor * tot
+    return out
+
+
+def _frame(f, w):
+    """Gather weight and window starts: a radical table acts at weight k - 1
+    on 1 <= m <= w only."""
+    return (f.weight - 1, 1, 0) if f.radical else (f.weight, -w, -w)
+
+
+def gather_hecke_tp(f, p):
+    w = f.trunc // (p * p)
+    weight, lo, lo_nonholo = _frame(f, w)
+    holo = _gather_tp(f.holo, f.N, f.rep, p, weight, lo, w)
+    if f.radical:
+        holo = {k: p * v for k, v in holo.items()}
+    nonholo = _gather_tp(f.nonholo, f.N, f.rep, p, weight, lo_nonholo, -1)
+    return VVExpansion(f.N, f.weight, f.rep, holo, nonholo, w, f.radical)
+
+
+def gather_level_v(f, ell):
+    weight, lo, lo_nonholo = _frame(f, f.trunc)
+    a_exp = int(weight - F(1, 2))
+    pref = F(ell) ** int(F(3, 2) - f.weight) if f.radical else 1
+    holo = _gather_v(f.holo, f.N, f.rep, ell, a_exp, lo, f.trunc, pref)
+    nonholo = _gather_v(f.nonholo, f.N, f.rep, ell, a_exp, lo_nonholo, -1)
+    return VVExpansion(f.N * ell, f.weight, f.rep, holo, nonholo, f.trunc,
+                       f.radical)
+
+
+def _inputs(levels, trunc, seed):
+    """Seeded plain and shadow tables over every weight and both reps."""
+    for N in levels:
+        for k in WEIGHTS:
+            for rep in (1, -1):
+                tag = seed + 100 * N + 10 * int(2 * k + 1) + rep
+                f = random_supported(N, k, rep, seed=tag, trunc=trunc)
+                yield f
+                yield formal_xi(f)
+
+
+def _good_primes(N, primes=(3, 5, 7, 11)):
+    return [p for p in primes if gcd(p, 2 * N) == 1]
 
 
 class TestLegendre:
@@ -212,3 +299,84 @@ class TestCommutationInstances:
         b = level_u(level_v(f, 6), 2)
         ok, wit = a.agrees_with(b)
         assert ok, wit
+
+
+class TestGatherOracle:
+    """The scatter kernels against the gathers over the output window."""
+
+    def test_hecke_tp_and_level_v_match_gathers(self):
+        results = nonempty = 0
+        for f in _inputs(range(1, 21), 121, seed=50):
+            pairs = ([(hecke_tp(f, p), gather_hecke_tp(f, p)) for p in _good_primes(f.N)]
+                     + [(level_v(f, ell), gather_level_v(f, ell)) for ell in range(2, 8)])
+            for got, expected in pairs:
+                assert got.to_json() == expected.to_json()
+                results += 1
+                nonempty += bool(expected.holo or expected.nonholo)
+        # 16 tables per level; 67 pairs (N, p) with p coprime to 2N
+        assert results == 16 * (20 * 6 + 67)
+        assert nonempty == 2647  # T_p at p = 11 keeps only 0 <= |n| <= 1
+
+    def test_level_v_matches_gather_at_larger_index(self):
+        for f in _inputs((1, 2, 3), 121, seed=52):
+            for ell in (12, 18, 30, 210):
+                assert level_v(f, ell).to_json() == gather_level_v(f, ell).to_json()
+
+
+def with_garbage(f, seed, reach):
+    """f plus seeded garbage in every supported slot with trunc < |n| <= reach.
+
+    The holo table gets both signs, the nonholo table n < 0, and a radical
+    table only n > 0, matching where each table may hold entries.
+    """
+    rng = random.Random(seed)
+    four_n = 4 * f.N
+    beyond = [(f.trunc + 1, reach)]
+    if not f.radical:
+        beyond.append((-reach, -f.trunc - 1))
+    tables = {"holo": (dict(f.holo), beyond),
+              "nonholo": (dict(f.nonholo), [] if f.radical else beyond[1:])}
+    for table, ranges in tables.values():
+        for lo, hi in ranges:
+            for gamma in range(2 * f.N):
+                start = lo + (f.rep * gamma * gamma - lo) % four_n
+                for n in range(start, hi + 1, four_n):
+                    table[(n, gamma)] = F(rng.randint(1, 99) * rng.choice((1, -1)),
+                                          rng.choice((1, 2, 3, 7)))
+    return VVExpansion(f.N, f.weight, f.rep, tables["holo"][0],
+                       tables["nonholo"][0], f.trunc, f.radical)
+
+
+class TestWindowSoundness:
+    """Garbage beyond the declared truncation never reaches the output window."""
+
+    def test_operators_ignore_slots_beyond_trunc(self):
+        trunc = 30
+        checked = 0
+        for f in _inputs((1, 2, 5, 6, 10), trunc, seed=60):
+            g = with_garbage(f, seed=61 + checked, reach=49 * trunc + 100)
+            ops = ([lambda x, p=p: hecke_tp(x, p) for p in _good_primes(f.N, (3, 5, 7))]
+                   + [lambda x, d=d: level_u(x, d) for d in (2, 3)]
+                   + [lambda x, ell=ell: level_v(x, ell) for ell in range(2, 7)]
+                   + [lambda x, c=c: apply_aut(x, c) for c in exact_divisors(f.N)])
+            for op in ops:
+                clean, dirty = op(f), op(g)
+                assert clean.trunc == dirty.trunc
+                ok, wit = clean.agrees_with(dirty)
+                assert ok, (f.N, f.weight, f.rep, f.radical, wit)
+                checked += 1
+        assert checked == 960
+
+    def test_garbage_fills_the_slots_beyond_trunc(self):
+        f = random_supported(2, F(1, 2), 1, seed=62, trunc=30)
+        for x in (f, formal_xi(f)):
+            g = with_garbage(x, seed=63, reach=200)
+            for part in ("holo", "nonholo"):
+                extra = getattr(g, part).keys() - getattr(x, part).keys()
+                signs = {n > 0 for n, _ in extra}
+                if x.radical:
+                    assert signs == ({True} if part == "holo" else set())
+                else:
+                    assert signs == ({True, False} if part == "holo" else {False})
+                assert all(30 < abs(n) <= 200 and (n - g.rep * c * c) % 8 == 0
+                           for n, c in extra)

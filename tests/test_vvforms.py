@@ -121,6 +121,55 @@ class TestExpansionBasics:
         ok, _ = a.agrees_with(c, window=24)
         assert ok
 
+    def test_agrees_with_first_of_several_differences(self):
+        a = random_supported(3, F(1, 2), 1, seed=21, trunc=60)
+        b = VVExpansion(3, a.weight, 1, dict(a.holo), dict(a.nonholo), 60)
+        diffs = sorted(a.holo)[::7][:5]
+        for key in reversed(diffs):
+            b.holo[key] += 1
+        ok, wit = a.agrees_with(b)
+        assert not ok
+        assert wit == ("holo", diffs[0], a.holo[diffs[0]], a.holo[diffs[0]] + 1)
+        nkey = max(a.nonholo)
+        b = VVExpansion(3, a.weight, 1, dict(a.holo), dict(a.nonholo), 60)
+        b.nonholo[nkey] = F(1, 7)
+        assert a.agrees_with(b)[1] == ("nonholo", nkey, a.nonholo[nkey], F(1, 7))
+        assert a.agrees_with(b, window=abs(nkey[0]) - 1) == (True, None)
+
+    def test_agrees_with_stored_zero(self):
+        th = theta_series(2, 30)
+        holo = dict(th.holo)
+        holo[(17, 1)] = F(0)  # a supported slot theta leaves empty
+        holo[(16, 0)] = F(0)  # an entry of theta, now stored as zero
+        z = VVExpansion(2, th.weight, 1, holo, {(-4, 2): F(0)}, 30)
+        ok, wit = z.agrees_with(theta_series(2, 30))
+        assert not ok and wit[1] == (16, 0) and wit[2] == 0
+        del holo[(16, 0)]
+        ref = theta_series(2, 30)
+        del ref.holo[(16, 0)]
+        assert z.agrees_with(ref) == (True, None)
+        assert ref.agrees_with(z) == (True, None)
+
+    def test_agrees_with_ignores_entries_beyond_window(self):
+        a = random_supported(4, F(3, 2), -1, seed=22, trunc=40)
+        b = VVExpansion(4, a.weight, -1, dict(a.holo), dict(a.nonholo), 40)
+        b.holo[(47, 1)] = F(5)  # supported slots: n = -1 mod 16
+        b.holo[(-49, 1)] = F(-3)
+        b.nonholo[(-65, 1)] = F(2)
+        assert a.agrees_with(b) == (True, None)
+        assert b.agrees_with(a) == (True, None)
+
+    def test_type_mismatch_witness(self):
+        from weilq.verify import _expansion_witness
+
+        assert _expansion_witness(theta_series(2, 10), theta_series(2, 10)) is None
+        wit = _expansion_witness(theta_series(2, 10), theta_series(3, 10))
+        assert wit == {"part": "type", "got": ["2", "1/2", "1", "False"],
+                       "expected": ["3", "1/2", "1", "False"]}
+        x = formal_xi(random_supported(2, F(3, 2), -1, seed=23, trunc=20))
+        plain = VVExpansion(2, x.weight, x.rep, dict(x.holo), {}, x.trunc)
+        assert _expansion_witness(x, plain)["got"][3] == "True"
+
     def test_json_round_trip(self):
         f = random_supported(6, F(3, 2), -1, seed=5, trunc=40)
         g = VVExpansion.from_json(f.to_json())
