@@ -8,9 +8,8 @@ and the cusp/CM divisor linear algebra behind matching a divisor by eta
 products.  Everything is exact: all coefficients are fractions.
 """
 
-from .borcherds import (EtaIdentityReport, ProductResult, borcherds_product,
-                        eta_product, exponent_table, verify_eta_identity,
-                        weyl_vector)
+from .borcherds import (ProductResult, borcherds_product, eta_product,
+                        exponent_table, weyl_vector)
 from .discform import (atkin_lehner, divisor_classes, divisors,
                        exact_divisors, euler_phi, index_gamma0,
                        is_exact_divisor, qvalue)
@@ -34,8 +33,8 @@ __all__ = [
     "VVExpansion", "theta_series", "apply_aut", "basis_m_half",
     "decompose", "formal_xi", "random_supported", "DecompositionError",
     "hecke_tp", "level_u", "level_v",
-    "ProductResult", "EtaIdentityReport", "borcherds_product", "eta_product",
-    "exponent_table", "verify_eta_identity", "weyl_vector",
+    "ProductResult", "borcherds_product", "eta_product", "exponent_table",
+    "weyl_vector",
     "CuspClass", "CuspDivisor", "HeegnerDivisor", "HeegnerReport",
     "Certificate", "MatchingError", "cusp_classes", "cusp_count",
     "cusp_space_dimension", "eta_order", "eta_divisor", "fricke_image",

@@ -18,13 +18,13 @@ from .vvforms import VVExpansion, basis_m_half, decompose
 
 
 def exponent_table(f: VVExpansion, nmax: int) -> dict:
-    """The exponents n -> a(n^2, n mod 2N) for 1 <= n <= nmax.
+    """The exponents n -> a(n^2, n mod 2N) for 1 <= n <= nmax (empty at 0).
 
     Reading slot (n^2, n) requires the expansion to be reliable out to index
     nmax^2, hence the truncation precondition.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
+    if nmax < 0:
+        raise ValueError("nmax must be at least 0")
     if f.radical:
         raise ValueError("a radical shadow table has no product expansion")
     if f.trunc < nmax * nmax:
@@ -116,16 +116,17 @@ def _euler_transform(table: dict, size: int) -> list:
 def borcherds_product(f: VVExpansion, weyl=None, prec=200) -> ProductResult:
     """Expand q^weyl * prod (1 - q^n)^(a(n^2, n)) through prec coefficients.
 
-    The result is exact below exponent weyl + prec.  When weyl is omitted it
-    is computed from the theta-basis decomposition of f; the weight reported
-    is the coefficient at slot (0, 0).  The product is expanded by the Euler
+    The result is exact below exponent weyl + prec, which only the factors
+    with n < prec reach, so f must be exact to index (ceil(prec) - 1)^2.
+    When weyl is omitted it is computed from the theta-basis decomposition
+    of f; the weight reported is the coefficient at slot (0, 0).  The product is expanded by the Euler
     transform, never multiplied out factor by factor.
     """
     prec = Fraction(prec)
     if prec < 1:
         raise ValueError("prec must be at least 1")
     weyl = weyl_vector(f) if weyl is None else Fraction(weyl)
-    table = exponent_table(f, int(prec))
+    table = exponent_table(f, ceil(prec) - 1)
     prod = FracSeries(1, dict(enumerate(_euler_transform(table, ceil(prec)))), prec)
     expansion = FracSeries.monomial(weyl, 1, weyl + prec) * prod
     result = ProductResult(f.holo.get((0, 0), Fraction(0)), weyl, expansion, table)
@@ -143,46 +144,3 @@ def eta_product(N: int, d: int, prec) -> FracSeries:
         raise ValueError(f"d = {d} must be a positive integer that divides {N}")
     prec = Fraction(prec)
     return eta_series(d, prec) * eta_series(N // d, prec)
-
-
-@dataclass
-class EtaIdentityReport:
-    """Outcome of one product-vs-eta comparison."""
-
-    N: int
-    c: int
-    ok: bool
-    witness: tuple | None = None
-
-    def to_json(self) -> dict:
-        data = {"N": self.N, "c": self.c, "ok": self.ok}
-        if self.witness is not None:
-            e, want, got = self.witness
-            data["witness"] = {"exponent": str(e), "eta": str(want),
-                               "product": str(got)}
-        return data
-
-
-def verify_eta_identity(N: int, c: int, prec: int = 200) -> EtaIdentityReport:
-    """Compare the product of the twisted theta with eta(c z) eta((N/c) z).
-
-    Expands both sides through ``prec`` coefficients past the leading
-    exponent (c + N/c)/24 and reports the first mismatch, if any.
-    """
-    from .vvforms import apply_aut, theta_series
-
-    prec = int(prec)
-    theta = theta_series(N, prec * prec)
-    twisted = apply_aut(theta, c)
-    weyl = Fraction(c + N // c, 24)
-    result = borcherds_product(twisted, weyl, prec)
-    bound = weyl + prec
-    target = eta_product(N, c, bound)
-    diff = (result.expansion - target).truncate(bound)
-    if diff.is_zero():
-        return EtaIdentityReport(N, c, True)
-    e0 = diff.leading_exponent
-    return EtaIdentityReport(
-        N, c, False,
-        witness=(e0, target.coefficient(e0), result.expansion.coefficient(e0)),
-    )

@@ -1,9 +1,12 @@
 """Exact property-check suites over ranges of levels.
 
-Each suite function returns a SuiteResult with a case count and a list of
-first-mismatch witnesses.  The command-line front end and the release test
-suite both call these functions; the default parameters are the release
-acceptance parameters.
+Each suite is a case generator ``cases(N, **params)`` that yields one value
+per case at level N: None when the case passes, or a first-mismatch
+failure dict.  ``SUITES`` maps each name to its generator and its default
+parameters, which are the release acceptance parameters; ``run_suite``
+runs a generator over the levels 1..n_max and returns a SuiteResult with
+the case count and the failures.  The command-line front end and the
+release test suite both go through ``run_suite``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .borcherds import borcherds_product, eta_product, verify_eta_identity
+from .borcherds import borcherds_product, eta_product, weyl_vector
 from .discform import divisor_classes, divisors, exact_divisors, index_gamma0
 from .divisors import (CuspDivisor, cusp_space_dimension, eta_divisor,
                        eta_order, fricke_image, heegner_degree,
@@ -37,11 +40,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary(self) -> str:
-        word = "ok" if self.ok else "FAIL"
-        return (f"{self.suite}: {self.cases} cases, "
-                f"{len(self.failures)} failures -> {word}")
-
     def to_json(self) -> dict:
         return {"suite": self.suite, "cases": self.cases, "ok": self.ok,
                 "failure_count": len(self.failures),
@@ -57,13 +55,9 @@ def _pmap(fn, items, jobs: int) -> list:
         return pool.map(fn, items)
 
 
-def _gather(name: str, pairs) -> SuiteResult:
-    cases = 0
-    failures = []
-    for c, f in pairs:
-        cases += c
-        failures.extend(f)
-    return SuiteResult(name, cases, failures)
+def _failure(witness, **where):
+    """None for a passing case (no witness), else the case's failure dict."""
+    return None if witness is None else {**where, "witness": witness}
 
 
 def _series_witness(got, expected):
@@ -94,73 +88,41 @@ def _expansion_witness(got, expected):
 
 
 def _eta_cases(N: int, prec: int):
-    cases = 0
-    failures = []
-    for c in exact_divisors(N):
-        cases += 1
-        report = verify_eta_identity(N, c, prec)
-        if not report.ok:
-            failures.append({"N": N, "c": c, "witness": report.to_json()})
-    return cases, failures
-
-
-def suite_eta(n_max: int = 50, prec: int = 200, jobs: int = 1) -> SuiteResult:
     """Borcherds products of the twisted theta functions are eta products."""
-    pairs = _pmap(partial(_eta_cases, prec=prec), range(1, n_max + 1), jobs)
-    return _gather("eta", pairs)
+    theta = theta_series(N, prec * prec)
+    for c in exact_divisors(N):
+        weyl = Fraction(c + N // c, 24)
+        res = borcherds_product(apply_aut(theta, c), weyl, prec)
+        yield _failure(_series_witness(res.expansion,
+                                       eta_product(N, c, weyl + prec)), N=N, c=c)
 
 
 # ----- 2. products of all weight 1/2 basis elements ---------------------
 
 
 def _basis_cases(N: int, prec: int):
-    cases = 0
-    failures = []
+    """Every theta-basis element multiplies out to its eta product."""
     basis = basis_m_half(N, prec * prec)
     for d, f in zip(divisor_classes(N), basis):
-        cases += 1
         weyl = Fraction(d + N // d, 24)
         res = borcherds_product(f, weyl, prec)
-        eta = eta_product(N, d, weyl + prec)
-        wit = _series_witness(res.expansion, eta)
-        if wit is not None:
-            failures.append({"N": N, "d": d, "witness": wit})
-    return cases, failures
-
-
-def suite_basis(n_max: int = 50, prec: int = 200, jobs: int = 1) -> SuiteResult:
-    """Every theta-basis element multiplies out to its eta product."""
-    pairs = _pmap(partial(_basis_cases, prec=prec), range(1, n_max + 1), jobs)
-    return _gather("basis", pairs)
+        yield _failure(_series_witness(res.expansion,
+                                       eta_product(N, d, weyl + prec)), N=N, d=d)
 
 
 # ----- 3. index-raising substitution ------------------------------------
 
 
 def _usub_cases(N: int, prec: int, d_max: int):
-    cases = 0
-    failures = []
+    """Raising the index substitutes q -> q^d in the eta product."""
     basis = basis_m_half(N, prec * prec)
     for dclass, f in zip(divisor_classes(N), basis):
         weyl = Fraction(dclass + N // dclass, 24)
         base = eta_product(N, dclass, weyl + prec)
         for d in range(1, d_max + 1):
-            cases += 1
             lifted = borcherds_product(level_u(f, d), d * weyl, prec)
-            expected = base.substitute(d)
-            wit = _series_witness(lifted.expansion, expected)
-            if wit is not None:
-                failures.append({"N": N, "d_class": dclass, "d": d,
-                                 "witness": wit})
-    return cases, failures
-
-
-def suite_usub(n_max: int = 30, prec: int = 200, d_max: int = 5,
-               jobs: int = 1) -> SuiteResult:
-    """Raising the index substitutes q -> q^d in the eta product."""
-    pairs = _pmap(partial(_usub_cases, prec=prec, d_max=d_max),
-                  range(1, n_max + 1), jobs)
-    return _gather("usub", pairs)
+            yield _failure(_series_witness(lifted.expansion, base.substitute(d)),
+                           N=N, d_class=dclass, d=d)
 
 
 # ----- 4. operator commutations -----------------------------------------
@@ -182,8 +144,7 @@ def _draw_pdl(rng: random.Random, N: int, op_max: int):
 
 
 def _commute_cases(N: int, count: int, op_max: int, trunc: int, seed: int):
-    cases = 0
-    failures = []
+    """Index raising, index spreading, and Hecke operators all commute."""
     for i in range(count):
         tag = seed * 1000003 + N * 1009 + i
         rng = random.Random(tag)
@@ -200,31 +161,16 @@ def _commute_cases(N: int, count: int, op_max: int, trunc: int, seed: int):
             ("TV", level_v(hecke_tp(f, p), ell), hecke_tp(level_v(f, ell), p)),
         ]
         for name, left, right in checks:
-            cases += 1
-            wit = _expansion_witness(left, right)
-            if wit is not None:
-                failures.append({"N": N, "case": i, "relation": name,
-                                 "p": p, "d": d, "l": ell,
-                                 "weight": str(weight), "rep": rep,
-                                 "witness": wit})
-    return cases, failures
-
-
-def suite_commute(n_max: int = 20, count: int = 50, op_max: int = 7,
-                  trunc: int = 400, seed: int = 1,
-                  jobs: int = 1) -> SuiteResult:
-    """Index raising, index spreading, and Hecke operators all commute."""
-    pairs = _pmap(partial(_commute_cases, count=count, op_max=op_max,
-                          trunc=trunc, seed=seed), range(1, n_max + 1), jobs)
-    return _gather("commute", pairs)
+            yield _failure(_expansion_witness(left, right), N=N, case=i,
+                           relation=name, p=p, d=d, l=ell,
+                           weight=str(weight), rep=rep)
 
 
 # ----- 5. shadow-operator commutations ----------------------------------
 
 
 def _xi_cases(N: int, count: int, op_max: int, trunc: int, seed: int):
-    cases = 0
-    failures = []
+    """The shadow map intertwines all four operators as claimed."""
     k = Fraction(1, 2)
     for i in range(count):
         tag = seed * 1000003 + N * 2003 + i
@@ -245,71 +191,47 @@ def _xi_cases(N: int, count: int, op_max: int, trunc: int, seed: int):
             ("V", formal_xi(level_v(f, ell)), level_v(x, ell)),
         ]
         for name, left, right in checks:
-            cases += 1
-            wit = _expansion_witness(left, right)
-            if wit is not None:
-                failures.append({"N": N, "case": i, "relation": name,
-                                 "p": p, "d": d, "l": ell, "c": c, "rep": rep,
-                                 "witness": wit})
-    return cases, failures
-
-
-def suite_xi(n_max: int = 20, count: int = 12, op_max: int = 7,
-             trunc: int = 400, seed: int = 1, jobs: int = 1) -> SuiteResult:
-    """The shadow map intertwines all four operators as claimed."""
-    pairs = _pmap(partial(_xi_cases, count=count, op_max=op_max,
-                          trunc=trunc, seed=seed), range(1, n_max + 1), jobs)
-    return _gather("xi", pairs)
+            yield _failure(_expansion_witness(left, right), N=N, case=i,
+                           relation=name, p=p, d=d, l=ell, c=c, rep=rep)
 
 
 # ----- 6. Hecke eigenvalue anchor ---------------------------------------
 
 
-def suite_hecke(primes=(3, 5, 7, 11, 13), prec: int = 200,
-                jobs: int = 1) -> SuiteResult:
-    """The level-one theta function is a Hecke eigenform, eigenvalue 1+1/p."""
-    cases = 0
-    failures = []
+def _hecke_cases(N: int, primes, prec: int):
+    """Theta at level N is a T_p eigenform, eigenvalue 1+1/p, for p prime to 2N."""
     for p in primes:
-        cases += 1
-        theta = theta_series(1, prec * p * p)
+        if (2 * N) % p == 0:
+            continue
+        theta = theta_series(N, prec * p * p)
         got = hecke_tp(theta, p)
-        expected = theta.scaled(1 + Fraction(1, p))
-        wit = _expansion_witness(got, expected)
-        if wit is not None:
-            failures.append({"N": 1, "p": p, "witness": wit})
-    return SuiteResult("hecke", cases, failures)
+        yield _failure(_expansion_witness(got, theta.scaled(1 + Fraction(1, p))),
+                       N=N, p=p)
 
 
 # ----- 7. cusp-matching dimension and solver ----------------------------
 
 
 def _cusp_cases(N: int, seed: int):
-    cases = 0
-    failures = []
+    """The eta-product matching system is square, invertible, and exact."""
     classes = divisor_classes(N)
     dim = cusp_space_dimension(N)
-    cases += 1
     if len(classes) != dim:
-        failures.append({"N": N, "check": "dimension",
-                         "expected": dim, "got": len(classes)})
-        return cases, failures
+        yield {"N": N, "check": "dimension", "expected": dim, "got": len(classes)}
+        return
+    yield None
     for j, d in enumerate(classes):
-        cases += 1
         try:
             x = solve_cusp_matching(N, eta_divisor(N, d))
         except ValueError as exc:
-            failures.append({"N": N, "check": "unit", "d": d,
-                             "error": str(exc)})
+            yield {"N": N, "check": "unit", "d": d, "error": str(exc)}
             continue
         unit = [Fraction(1) if i == j else Fraction(0)
                 for i in range(len(classes))]
-        if x != unit:
-            failures.append({"N": N, "check": "unit", "d": d,
-                             "got": [str(v) for v in x]})
-    cases += 1
-    if solve_cusp_matching(N, CuspDivisor.zero(N)) != [Fraction(0)] * dim:
-        failures.append({"N": N, "check": "zero"})
+        yield None if x == unit else {"N": N, "check": "unit", "d": d,
+                                      "got": [str(v) for v in x]}
+    zero = solve_cusp_matching(N, CuspDivisor.zero(N))
+    yield None if zero == [Fraction(0)] * dim else {"N": N, "check": "zero"}
     rng = random.Random(seed * 1000003 + N)
     orders = {}
     for c in [c for c in divisors(N) if c * c <= N]:
@@ -318,68 +240,45 @@ def _cusp_cases(N: int, seed: int):
             orders[c] = v
             orders[N // c] = v
     target = CuspDivisor(N, orders)
-    cases += 1
     try:
         x = solve_cusp_matching(N, target)
-        rebuilt = CuspDivisor.zero(N)
-        for v, d in zip(x, classes):
-            rebuilt = rebuilt + eta_divisor(N, d).scaled(v)
-        if rebuilt.orders != target.orders:
-            failures.append({"N": N, "check": "round-trip",
-                             "expected": target.to_json(),
-                             "got": rebuilt.to_json()})
     except ValueError as exc:
-        failures.append({"N": N, "check": "round-trip", "error": str(exc)})
-    return cases, failures
-
-
-def suite_cusp(n_max: int = 200, seed: int = 1, jobs: int = 1) -> SuiteResult:
-    """The eta-product matching system is square, invertible, and exact."""
-    pairs = _pmap(partial(_cusp_cases, seed=seed), range(1, n_max + 1), jobs)
-    return _gather("cusp", pairs)
+        yield {"N": N, "check": "round-trip", "error": str(exc)}
+        return
+    rebuilt = CuspDivisor.zero(N)
+    for v, d in zip(x, classes):
+        rebuilt = rebuilt + eta_divisor(N, d).scaled(v)
+    yield None if rebuilt.orders == target.orders else {
+        "N": N, "check": "round-trip", "expected": target.to_json(),
+        "got": rebuilt.to_json()}
 
 
 # ----- 8. divisor degree law --------------------------------------------
 
 
 def _degree_cases(N: int):
-    from .borcherds import weyl_vector
-
-    cases = 0
-    failures = []
-    mu = index_gamma0(N)
+    """Eta-product divisor degrees are mu/12; infinity orders match Weyl vectors."""
+    mu12 = Fraction(index_gamma0(N), 12)
     classes = cusp_classes(N)
     for d in divisors(N):
-        cases += 1
         total = sum((cl.orbit_size * eta_order(N, d, cl.c)
                      for cl in classes), Fraction(0))
-        if total != Fraction(mu, 12):
-            failures.append({"N": N, "d": d, "check": "degree",
-                             "expected": str(Fraction(mu, 12)),
-                             "got": str(total)})
-        cases += 1
-        if eta_order(N, d, N) != Fraction(d + N // d, 24):
-            failures.append({"N": N, "d": d, "check": "infinity-order",
-                             "got": str(eta_order(N, d, N))})
+        yield None if total == mu12 else {
+            "N": N, "d": d, "check": "degree", "expected": str(mu12),
+            "got": str(total)}
+        at_inf = eta_order(N, d, N)
+        yield None if at_inf == Fraction(d + N // d, 24) else {
+            "N": N, "d": d, "check": "infinity-order", "got": str(at_inf)}
     basis = basis_m_half(N, 4 * N)
     for d, f in zip(divisor_classes(N), basis):
-        cases += 1
         try:
             w = weyl_vector(f, basis)
         except ValueError as exc:
-            failures.append({"N": N, "d": d, "check": "weyl", "error": str(exc)})
+            yield {"N": N, "d": d, "check": "weyl", "error": str(exc)}
             continue
-        if w != eta_order(N, d, N):
-            failures.append({"N": N, "d": d, "check": "weyl",
-                             "expected": str(eta_order(N, d, N)),
-                             "got": str(w)})
-    return cases, failures
-
-
-def suite_degree(n_max: int = 100, jobs: int = 1) -> SuiteResult:
-    """Eta-product divisor degrees are mu/12; infinity orders match Weyl vectors."""
-    pairs = _pmap(_degree_cases, range(1, n_max + 1), jobs)
-    return _gather("degree", pairs)
+        want = eta_order(N, d, N)
+        yield None if w == want else {"N": N, "d": d, "check": "weyl",
+                                      "expected": str(want), "got": str(w)}
 
 
 # ----- 9. CM-point degrees ----------------------------------------------
@@ -389,86 +288,81 @@ HURWITZ_ANCHORS = {3: Fraction(1, 3), 4: Fraction(1, 2), 7: Fraction(1),
 
 
 def _heegner_cases(N: int, n_bound: int):
-    cases = 0
-    failures = []
+    """Level-one degrees match Hurwitz numbers; degrees are symmetric in gamma."""
+    anchors = HURWITZ_ANCHORS.items() if N == 1 else ()
+    for disc, value in anchors:
+        gamma = disc % 2
+        got = heegner_degree(1, -disc, gamma)
+        yield None if got == value else {"N": 1, "n": -disc, "gamma": gamma,
+                                         "expected": str(value), "got": str(got)}
     for m in range(1, n_bound + 1):
         n = -m
         for gamma in range(1, N):
             if (gamma * gamma - n) % (4 * N):
                 continue
-            cases += 1
             left = heegner_degree(N, n, gamma)
             right = heegner_degree(N, n, 2 * N - gamma)
-            if left != right:
-                failures.append({"N": N, "n": n, "gamma": gamma,
-                                 "expected": str(right), "got": str(left)})
-    return cases, failures
-
-
-def suite_heegner(n_max: int = 20, n_bound: int = 200, jobs: int = 1) -> SuiteResult:
-    """Level-one degrees match Hurwitz numbers; degrees are symmetric in gamma."""
-    cases = 0
-    failures = []
-    for disc, value in HURWITZ_ANCHORS.items():
-        cases += 1
-        gamma = disc % 2
-        got = heegner_degree(1, -disc, gamma)
-        if got != value:
-            failures.append({"N": 1, "n": -disc, "gamma": gamma,
-                             "expected": str(value), "got": str(got)})
-    pairs = _pmap(partial(_heegner_cases, n_bound=n_bound),
-                  range(1, n_max + 1), jobs)
-    tail = _gather("heegner", pairs)
-    return SuiteResult("heegner", cases + tail.cases, failures + tail.failures)
+            yield None if left == right else {"N": N, "n": n, "gamma": gamma,
+                                              "expected": str(right),
+                                              "got": str(left)}
 
 
 # ----- 10. Fricke invariance --------------------------------------------
 
 
 def _fricke_cases(N: int):
-    cases = 0
-    failures = []
-    for d in divisors(N):
-        cases += 1
-        div = eta_divisor(N, d)
-        if fricke_image(div).orders != div.orders:
-            failures.append({"N": N, "d": d,
-                             "divisor": div.to_json()})
-    return cases, failures
-
-
-def suite_fricke(n_max: int = 100, jobs: int = 1) -> SuiteResult:
     """Eta-product cusp divisors are fixed by the Fricke involution."""
-    pairs = _pmap(_fricke_cases, range(1, n_max + 1), jobs)
-    return _gather("fricke", pairs)
+    for d in divisors(N):
+        div = eta_divisor(N, d)
+        yield None if fricke_image(div).orders == div.orders else {
+            "N": N, "d": d, "divisor": div.to_json()}
 
 
 # ----- driver -----------------------------------------------------------
 
+# name -> (case generator, default parameters); n_max bounds the levels.
 SUITES = {
-    "eta": suite_eta,
-    "basis": suite_basis,
-    "usub": suite_usub,
-    "commute": suite_commute,
-    "xi": suite_xi,
-    "hecke": suite_hecke,
-    "cusp": suite_cusp,
-    "degree": suite_degree,
-    "heegner": suite_heegner,
-    "fricke": suite_fricke,
+    "eta": (_eta_cases, {"n_max": 50, "prec": 200}),
+    "basis": (_basis_cases, {"n_max": 50, "prec": 200}),
+    "usub": (_usub_cases, {"n_max": 30, "prec": 200, "d_max": 5}),
+    "commute": (_commute_cases, {"n_max": 20, "count": 50, "op_max": 7,
+                                 "trunc": 400, "seed": 1}),
+    "xi": (_xi_cases, {"n_max": 20, "count": 12, "op_max": 7, "trunc": 400,
+                       "seed": 1}),
+    "hecke": (_hecke_cases, {"n_max": 1, "primes": (3, 5, 7, 11, 13),
+                             "prec": 200}),
+    "cusp": (_cusp_cases, {"n_max": 200, "seed": 1}),
+    "degree": (_degree_cases, {"n_max": 100}),
+    "heegner": (_heegner_cases, {"n_max": 20, "n_bound": 200}),
+    "fricke": (_fricke_cases, {"n_max": 100}),
 }
 
 
-def run_suite(name: str, **kwargs) -> list:
-    """Run one named suite, or all of them; returns a list of SuiteResult."""
+def _run_level(cases, params: dict, N: int):
+    """(case count, failures) of one suite at level N."""
+    outcomes = list(cases(N, **params))
+    return len(outcomes), [f for f in outcomes if f is not None]
+
+
+def run_suite(name: str, jobs: int = 1, **kwargs) -> list:
+    """Run one named suite, or all of them; returns a list of SuiteResult.
+
+    Keyword arguments that a suite's defaults name override them when not
+    None; the rest are ignored, so one set of options serves "all".
+    """
     if name == "all":
-        return [run_suite(key, **kwargs)[0] for key in SUITES]
+        return [run_suite(key, jobs, **kwargs)[0] for key in SUITES]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join([*SUITES, 'all'])}")
-    fn = SUITES[name]
-    import inspect
-
-    accepted = inspect.signature(fn).parameters
-    passed = {k: v for k, v in kwargs.items() if k in accepted and v is not None}
-    return [fn(**passed)]
+    cases, defaults = SUITES[name]
+    params = dict(defaults)
+    params.update((k, v) for k, v in kwargs.items()
+                  if k in defaults and v is not None)
+    for k, v in params.items():
+        if k != "seed" and isinstance(v, int) and v < 1:
+            raise ValueError(f"{name}: {k} = {v} must be at least 1")
+    n_max = params.pop("n_max")
+    pairs = _pmap(partial(_run_level, cases, params), range(1, n_max + 1), jobs)
+    return [SuiteResult(name, sum(c for c, _ in pairs),
+                        [f for _, fs in pairs for f in fs])]

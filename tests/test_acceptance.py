@@ -1,68 +1,73 @@
 """Acceptance criteria: every suite at full scale, exact rational equality.
 
-Each test runs one named verification suite end to end and reports a single
-PASS/FAIL line (visible with ``pytest -s`` or on failure).  The suites live in
-``weilq.verify`` and are the same ones exposed by ``weilq verify``.
+Each test runs one named verification suite end to end at its default
+parameters and reports a single PASS/FAIL line (visible with ``pytest -s`` or
+on failure).  The suites live in ``weilq.verify`` and are the same ones
+exposed by ``weilq verify``.  The case counts pin the default scale.
 """
 
-from weilq.verify import (suite_basis, suite_commute, suite_cusp, suite_degree,
-                          suite_eta, suite_fricke, suite_hecke, suite_heegner,
-                          suite_usub, suite_xi)
+from weilq.verify import run_suite
+
+CASES = {"eta": 159, "basis": 107, "usub": 290, "commute": 3000, "xi": 960,
+         "hecke": 5, "cusp": 1156, "degree": 1210, "heegner": 807,
+         "fricke": 482}
 
 
-def report(number: int, label: str, result) -> None:
+def report(number: int, label: str, name: str) -> None:
+    result = run_suite(name)[0]
     verdict = "PASS" if result.ok else "FAIL"
     line = (f"{verdict} criterion {number}: {label} "
             f"({result.cases} cases, {len(result.failures)} failures)")
     print(line)
     assert result.ok, f"{line}; first witness: {result.failures[:1]}"
+    assert result.cases == CASES[name], line
 
 
 def test_criterion_01_eta_identity_all_exact_divisors_to_level_50():
     report(1, "product expansion matches the paired eta product, "
-              "level <= 50, 200 coefficients", suite_eta())
+              "level <= 50, 200 coefficients", "eta")
 
 
 def test_criterion_02_basis_elements_lift_to_eta_products_to_level_50():
     report(2, "every basis element's product is the eta product of its "
-              "divisor class, level <= 50", suite_basis())
+              "divisor class, level <= 50", "basis")
 
 
 def test_criterion_03_index_raising_matches_substitution_to_d_5():
     report(3, "product of the index-raised input equals q -> q^d "
-              "substitution, d <= 5, level <= 30", suite_usub())
+              "substitution, d <= 5, level <= 30", "usub")
 
 
 def test_criterion_04_operator_commutation_on_random_forms():
     report(4, "U/V, T/U, T/V commutation on 50 seeded random forms per "
-              "level <= 20", suite_commute())
+              "level <= 20", "commute")
 
 
 def test_criterion_05_shadow_transport_for_all_four_operators():
     report(5, "shadow table transport under sigma, T_p, U_d, V_l at "
-              "weight 1/2, level <= 20", suite_xi())
+              "weight 1/2, level <= 20", "xi")
 
 
 def test_criterion_06_theta_is_a_hecke_eigenform():
     report(6, "theta |T_p = (1 + 1/p) theta for p in {3,5,7,11,13}",
-           suite_hecke())
+           "hecke")
 
 
 def test_criterion_07_cusp_matching_solver_round_trips_to_level_200():
     report(7, "square invertible cusp system, exact solve round-trips, "
-              "level <= 200", suite_cusp())
+              "level <= 200", "cusp")
 
 
 def test_criterion_08_eta_degrees_satisfy_the_index_over_12_law():
     report(8, "cusp degrees sum to index/12 and the infinity order is the "
-              "leading exponent, level <= 100", suite_degree())
+              "leading exponent, level <= 100", "degree")
 
 
 def test_criterion_09_cm_point_degrees_match_class_number_anchors():
     report(9, "weighted CM degrees hit the classical anchor values and "
-              "the gamma <-> -gamma symmetry, level <= 20", suite_heegner())
+              "the gamma <-> -gamma symmetry, level <= 20", "heegner")
 
 
 def test_criterion_10_fricke_symmetry_of_the_cusp_data():
     report(10, "cusp classes, orders, and solver output are Fricke "
-               "symmetric, level <= 100", suite_fricke())
+               "symmetric, level <= 100", "fricke")

@@ -1,4 +1,4 @@
-"""Product expansions, Weyl exponents, eta products, identity reports."""
+"""Product expansions, Weyl exponents, eta products, the eta identity."""
 
 import random
 from fractions import Fraction as F
@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from weilq.borcherds import (ProductResult, borcherds_product, eta_product,
-                             exponent_table, verify_eta_identity, weyl_vector)
+                             exponent_table, weyl_vector)
 from weilq.fracq import FracSeries
+from weilq.verify import _eta_cases, _series_witness, run_suite
 from weilq.vvforms import (VVExpansion, apply_aut, basis_m_half,
                            is_supported, random_supported, theta_series)
 
@@ -46,7 +47,8 @@ class TestExponentTable:
         with pytest.raises(ValueError, match="insufficient"):
             exponent_table(theta_series(1, 99), 10)
         with pytest.raises(ValueError):
-            exponent_table(theta_series(1, 100), 0)
+            exponent_table(theta_series(1, 100), -1)
+        assert exponent_table(theta_series(1, 0), 0) == {}
 
 
 class TestWeylVector:
@@ -202,6 +204,19 @@ class TestProductWindow:
             assert got.expansion == want.expansion
             assert got.expansion.trunc == weyl + prec
 
+    def test_factor_at_prec_is_not_read(self):
+        # (1 - q^P) starts at q^P, past the window, so trunc (P - 1)^2 will do
+        for N, P in ((1, 1), (1, 2), (6, 12), (10, 30)):
+            weyl = F(1 + N, 24)
+            res = borcherds_product(theta_series(N, (P - 1) ** 2), weyl, P)
+            assert sorted(res.exponents) == list(range(1, P))
+            bound = weyl + P
+            assert res.expansion == eta_product(N, 1, bound).truncate(bound)
+        with pytest.raises(ValueError, match="insufficient"):
+            borcherds_product(theta_series(6, 11 ** 2 - 1), F(7, 24), 12)
+        res = borcherds_product(theta_series(6, 49), F(7, 24), F(15, 2))
+        assert sorted(res.exponents) == list(range(1, 8))
+
     def test_half_integral_precision(self):
         # prec 15/2 still needs the factor at n = 7 and the term q^7
         assert one_factor(7, 1, F(15, 2)) == FracSeries(1, {0: 1, 7: -1},
@@ -235,27 +250,25 @@ class TestEtaProduct:
 
 
 class TestEtaIdentity:
+    """Criterion 1 at single levels, through the eta suite's cases."""
+
     def test_level_one(self):
-        assert verify_eta_identity(1, 1, 40).ok
+        assert list(_eta_cases(1, 40)) == [None]
 
     def test_level_six(self):
-        assert verify_eta_identity(6, 2, 40).ok
-        assert verify_eta_identity(6, 3, 40).ok
+        # exact divisors 1, 2, 3, 6
+        assert list(_eta_cases(6, 40)) == [None] * 4
 
     def test_report_json(self):
-        rep = verify_eta_identity(6, 6, 30)
-        assert rep.to_json() == {"N": 6, "c": 6, "ok": True}
+        res = run_suite("eta", n_max=6, prec=30)[0]
+        assert res.to_json() == {"suite": "eta", "cases": 13, "ok": True,
+                                 "failure_count": 0, "failures": []}
 
     def test_witness_on_mismatch(self):
-        # compare against the wrong eta product to exercise the witness path
-        from weilq.borcherds import EtaIdentityReport
-
+        # the wrong eta target starts at q^(5/24), where the product is 0
         res = borcherds_product(theta_series(6, 900), F(7, 24), 30)
         wrong = eta_product(6, 2, F(7, 24) + 30)
-        diff = (res.expansion - wrong).truncate(F(7, 24) + 30)
-        assert not diff.is_zero()
-        rep = EtaIdentityReport(6, 6, False,
-                                witness=(diff.leading_exponent, F(0), F(1)))
-        data = rep.to_json()
-        assert data["ok"] is False
-        assert "witness" in data
+        assert _series_witness(res.expansion, wrong) == {
+            "exponent": "5/24", "expected": "1", "got": "0"}
+        assert _series_witness(res.expansion,
+                               eta_product(6, 1, F(7, 24) + 30)) is None

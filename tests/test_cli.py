@@ -11,7 +11,6 @@ import weilq.verify as verify
 from weilq.cli import main
 from weilq.divisors import eta_divisor
 from weilq.heckeops import hecke_tp
-from weilq.verify import SuiteResult
 from weilq.vvforms import VVExpansion, theta_series
 
 
@@ -76,8 +75,8 @@ class TestPipelines:
                            ["product", "--format", "csv", "--prec", "5"],
                            stdin_text=theta_json, monkeypatch=monkeypatch)
         assert code == 0
-        assert out.splitlines() == ["n,exponent", "1,2", "2,2", "3,2", "4,2",
-                                    "5,2"]
+        # the factor at n = prec starts at q^prec, past the window
+        assert out.splitlines() == ["n,exponent", "1,2", "2,2", "3,2", "4,2"]
 
     def test_xi_of_harmonic_input(self, capsys, monkeypatch):
         f = VVExpansion(1, F(3, 2), -1, {}, {(-4, 0): F(5)}, 10)
@@ -141,14 +140,34 @@ class TestVerifyCommand:
         assert data["results"][0]["failures"] == []
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
-        def broken():
-            return SuiteResult("hecke", 5, [("planted", "witness")])
+        def broken(N, prec):
+            yield None
+            yield {"N": N, "planted": "witness"}
 
-        monkeypatch.setitem(verify.SUITES, "hecke", broken)
+        monkeypatch.setitem(verify.SUITES, "hecke",
+                            (broken, {"n_max": 2, "prec": 1}))
         code, out, _ = run(capsys, ["verify", "hecke"])
         data = json.loads(out)
         assert code == 1 and data["ok"] is False
-        assert data["results"][0]["failures"] == [["planted", "witness"]]
+        assert data["results"][0]["cases"] == 4
+        assert data["results"][0]["failures"] == [{"N": 1, "planted": "witness"},
+                                                  {"N": 2, "planted": "witness"}]
+
+    def test_hecke_runs_every_level(self, capsys):
+        # levels 1, 2 and 3 check the primes prime to 2N: 5 + 5 + 4 cases
+        code, out, _ = run(capsys, ["verify", "hecke", "--N-max", "3",
+                                    "--prec", "20"])
+        assert code == 0 and json.loads(out)["results"][0]["cases"] == 14
+
+    @pytest.mark.parametrize("argv", [["eta", "--N-max", "0"],
+                                      ["eta", "--N-max", "-3"],
+                                      ["heegner", "--N-max", "0"],
+                                      ["hecke", "--prec", "0"],
+                                      ["all", "--prec", "0"]])
+    def test_parameter_below_one(self, capsys, argv):
+        code, out, err = run(capsys, ["verify", *argv])
+        assert code == 2 and out == ""
+        assert "must be at least 1" in json.loads(err)["error"]
 
 
 class TestErrors:

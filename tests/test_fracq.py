@@ -166,6 +166,48 @@ class TestArithmetic:
             a.substitute(0)
 
 
+class TestWindowSoundness:
+    """Garbage stored beyond a factor's truncation never reaches the product."""
+
+    @staticmethod
+    def with_garbage(s, rng, reach):
+        """s plus seeded garbage at every lattice exponent in [trunc, reach).
+
+        The constructor drops such terms, so they are stored directly.
+        """
+        dirty = FracSeries(s.denom, s.terms, s.trunc)
+        for e in range(ceil(s.trunc * s.denom), reach * s.denom):
+            dirty.terms[e] = F(rng.randint(1, 99) * rng.choice((1, -1)),
+                               rng.choice((1, 2, 3, 7)))
+        return dirty
+
+    def test_mul_ignores_terms_beyond_trunc(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(40):
+            factors = []
+            for _ in range(2):
+                denom = rng.choice((1, 2, 3, 4, 6, 24))
+                trunc = F(rng.randint(10, 40), rng.choice((1, 2, 3)))
+                top = ceil(trunc * denom) - 1
+                # one term below trunc fixes vmin; the rest fill at random
+                terms = {rng.randint(-4 * denom, top): F(rng.randint(1, 9))}
+                terms.update((rng.randint(-4 * denom, top),
+                              F(rng.randint(1, 9) * rng.choice((1, -1)),
+                                rng.choice((1, 2, 5))))
+                             for _ in range(rng.randint(0, 12)))
+                factors.append(FracSeries(denom, terms, trunc))
+            a, b = factors
+            clean = a * b
+            for dirty in (self.with_garbage(a, rng, 90) * b,
+                          a * self.with_garbage(b, rng, 90),
+                          self.with_garbage(a, rng, 90)
+                          * self.with_garbage(b, rng, 90)):
+                assert dirty == clean, (a, b)
+                checked += 1
+        assert checked == 120
+
+
 class TestEtaSeries:
     def test_pentagonal_support(self):
         eta = eta_series(1, 30)

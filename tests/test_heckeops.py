@@ -367,6 +367,20 @@ class TestWindowSoundness:
                 checked += 1
         assert checked == 960
 
+    def test_formal_xi_ignores_slots_beyond_trunc(self):
+        checked = 0
+        for f in _inputs((1, 2, 5, 6, 10), 30, seed=64):
+            if f.radical:
+                continue
+            clean = formal_xi(f)
+            dirty = formal_xi(with_garbage(f, seed=65 + checked, reach=300))
+            assert clean.trunc == dirty.trunc
+            ok, wit = clean.agrees_with(dirty)
+            assert ok, (f.N, f.weight, f.rep, wit)
+            assert len(dirty.holo) > len(clean.holo)
+            checked += 1
+        assert checked == 40
+
     def test_garbage_fills_the_slots_beyond_trunc(self):
         f = random_supported(2, F(1, 2), 1, seed=62, trunc=30)
         for x in (f, formal_xi(f)):
