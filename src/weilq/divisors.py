@@ -58,16 +58,15 @@ def eta_order(N: int, d: int, c: int) -> Fraction:
 
     Ligozat's formula per eta factor delta:
     (N/24) * gcd(c, delta)^2 / (c * delta * gcd(c, N/c)), summed over the
-    multiset {d, N/d}.  Orders are per cusp; multiply by the orbit size when
-    summing degrees.
+    multiset {d, N/d}; over the common denominator 24 * c * gcd(c, N/c) the
+    two terms are gcd(c, d)^2 * (N/d) and gcd(c, N/d)^2 * d.  Orders are per
+    cusp; multiply by the orbit size when summing degrees.
     """
     if N % d or N % c:
         raise ValueError("d and c must divide N")
-    g = gcd(c, N // c)
-    total = Fraction(0)
-    for delta in (d, N // d):
-        total += Fraction(N, 24) * Fraction(gcd(c, delta) ** 2, c * delta * g)
-    return total
+    e = N // d
+    return Fraction(gcd(c, d) ** 2 * e + gcd(c, e) ** 2 * d,
+                    24 * c * gcd(c, N // c))
 
 
 @dataclass

@@ -155,10 +155,11 @@ def _commute_cases(N: int, count: int, op_max: int, trunc: int, seed: int):
         if drawn is None:
             continue
         p, d, ell = drawn
+        fu, fv, ft = level_u(f, d), level_v(f, ell), hecke_tp(f, p)
         checks = [
-            ("UV", level_v(level_u(f, d), ell), level_u(level_v(f, ell), d)),
-            ("TU", level_u(hecke_tp(f, p), d), hecke_tp(level_u(f, d), p)),
-            ("TV", level_v(hecke_tp(f, p), ell), hecke_tp(level_v(f, ell), p)),
+            ("UV", level_v(fu, ell), level_u(fv, d)),
+            ("TU", level_u(ft, d), hecke_tp(fu, p)),
+            ("TV", level_v(ft, ell), hecke_tp(fv, p)),
         ]
         for name, left, right in checks:
             yield _failure(_expansion_witness(left, right), N=N, case=i,
@@ -350,6 +351,8 @@ def run_suite(name: str, jobs: int = 1, **kwargs) -> list:
     Keyword arguments that a suite's defaults name override them when not
     None; the rest are ignored, so one set of options serves "all".
     """
+    if jobs < 1:
+        raise ValueError(f"jobs = {jobs} must be at least 1")
     if name == "all":
         return [run_suite(key, jobs, **kwargs)[0] for key in SUITES]
     if name not in SUITES:

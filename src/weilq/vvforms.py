@@ -265,9 +265,13 @@ def basis_m_half(N: int, trunc: int) -> list:
 def decompose(f: VVExpansion, basis: list) -> list:
     """Exact coordinates of f in the given weight 1/2 basis.
 
-    Solves on the slots with 0 <= n <= 4N and then re-checks the resulting
-    combination against f on the whole common reliable window, so a
-    successful return is a proof of membership up to truncation.
+    Solves one equation per supported slot with 0 <= n <= 4N that f or some
+    basis element stores, in sorted (n, gamma) order: a slot stored by none
+    of them is the equation 0 = 0 and changes neither the pivots nor the
+    coordinates.  The resulting combination is then re-checked against f on
+    the whole common reliable window, so a successful return is a proof of
+    membership up to truncation.  Failure names a slot: the first at which
+    the equations become inconsistent, or the first mismatch of the re-check.
     """
     if f.weight != Fraction(1, 2) or f.rep != 1:
         raise DecompositionError("decomposition applies to weight 1/2 expansions "
@@ -283,20 +287,20 @@ def decompose(f: VVExpansion, basis: list) -> list:
             raise DecompositionError("basis element of mismatched type")
     window = min([f.trunc] + [b.trunc for b in basis])
     pivot = min(window, 4 * f.N)
-    rows, rhs = [], []
-    for n in range(0, pivot + 1):
-        for g in range(2 * f.N):
-            if not is_supported(f.N, 1, n, g):
-                continue
-            rows.append([b.holo.get((n, g), Fraction(0)) for b in basis])
-            rhs.append(f.holo.get((n, g), Fraction(0)))
+    slots = sorted({(n, g) for table in [f.holo] + [b.holo for b in basis]
+                    for n, g in table
+                    if 0 <= n <= pivot and 0 <= g < 2 * f.N
+                    and is_supported(f.N, 1, n, g)})
+    rows = [[b.holo.get(k, Fraction(0)) for b in basis] for k in slots]
+    rhs = [f.holo.get(k, Fraction(0)) for k in slots]
     try:
         coords = solve_exact(rows, rhs)
     except SingularSystem as exc:
         raise DecompositionError(f"theta basis is degenerate at level {f.N}: {exc}")
     except InconsistentSystem as exc:
         raise DecompositionError(
-            f"expansion is not in the span of the theta basis (row {exc.row})"
+            f"expansion is not in the span of the theta basis "
+            f"(first inconsistent slot {slots[exc.row]})"
         )
     combo = {}
     for x, b in zip(coords, basis):

@@ -169,6 +169,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "must be at least 1" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run(capsys, ["verify", "fricke", "--N-max", "3",
+                                      "--jobs", jobs])
+        assert code == 2 and out == ""
+        assert f"jobs = {jobs} must be at least 1" in json.loads(err)["error"]
+
 
 class TestErrors:
     def test_eta_nondivisor(self, capsys):

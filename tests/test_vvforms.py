@@ -1,10 +1,14 @@
 """Vector-valued expansions: theta series, symmetry, basis, decomposition."""
 
+import random
+import re
 from fractions import Fraction as F
 from math import gcd, isqrt
 
 import pytest
+from test_linalg import dense_solve, outcome
 
+from weilq._linalg import InconsistentSystem
 from weilq.borcherds import borcherds_product
 from weilq.discform import divisor_classes
 from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
@@ -282,6 +286,87 @@ class TestDecompose:
             f.nonholo[(-23, 11)] = F(1)
         with pytest.raises(DecompositionError):
             decompose(f, basis_m_half(6, 24))
+
+
+def all_slots(N, window):
+    """Reference walk: every supported slot with 0 <= n <= min(window, 4N)."""
+    return [(n, g) for n in range(min(window, 4 * N) + 1) for g in range(2 * N)
+            if is_supported(N, 1, n, g)]
+
+
+def slot_system(f, basis, slots):
+    """One equation per slot: the basis values against the value of f."""
+    return ([[b.holo.get(k, F(0)) for b in basis] for k in slots],
+            [f.holo.get(k, F(0)) for k in slots])
+
+
+def all_slots_coordinates(f, basis):
+    """Slow reference: the all-slot walk solved by dense Gauss-Jordan."""
+    window = min([f.trunc] + [b.trunc for b in basis])
+    return dense_solve(*slot_system(f, basis, all_slots(f.N, window)))
+
+
+def seeded_combination(rng, basis):
+    coords = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in basis]
+    f = basis[0].scaled(coords[0])
+    for x, b in zip(coords[1:], basis[1:]):
+        f = f + b.scaled(x)
+    return f, coords
+
+
+class TestDecomposeOracle:
+    def test_basis_elements_match_all_slot_walk(self):
+        for N in range(1, 41):
+            basis = basis_m_half(N, 4 * N)
+            for el in basis:
+                assert decompose(el, basis) == all_slots_coordinates(el, basis)
+
+    def test_combinations_match_all_slot_walk(self):
+        rng = random.Random(6)
+        for N in range(1, 41):
+            basis = basis_m_half(N, 4 * N + rng.randint(0, 30))
+            for _ in range(3):
+                f, coords = seeded_combination(rng, basis)
+                got = decompose(f, basis)
+                assert got == coords == all_slots_coordinates(f, basis), N
+
+    def test_garbage_at_unsupported_slots_is_caught(self):
+        # unsupported slots never enter the solve; the re-check still sees them
+        rng = random.Random(7)
+        for N in (1, 4, 6, 12, 30):
+            window = 6 * N
+            basis = basis_m_half(N, window)
+            f, coords = seeded_combination(rng, basis)
+            free = [(n, g) for n in range(window + 1) for g in range(2 * N)
+                    if not is_supported(N, 1, n, g)]
+            for slot in rng.sample(free, min(5, len(free))):
+                bad = VVExpansion(N, f.weight, 1, {**f.holo, slot: F(7, 3)}, {},
+                                  window)
+                with pytest.raises(DecompositionError, match=re.escape(
+                        f"first mismatch at slot {slot}")):
+                    decompose(bad, basis)
+            beyond = {(window + 4 * N, 0): F(5)}
+            assert decompose(VVExpansion(N, f.weight, 1, {**f.holo, **beyond}, {},
+                                         window), basis) == coords
+
+    def test_names_first_inconsistent_slot(self):
+        # the reference: the first slot of the all-slot walk at which the
+        # equations so far have no solution
+        rng = random.Random(8)
+        for N in (1, 2, 6, 12, 20):
+            basis = basis_m_half(N, 4 * N)
+            f, _ = seeded_combination(rng, basis)
+            slots = all_slots(N, 4 * N)
+            for slot in rng.sample(slots, min(4, len(slots))):
+                holo = dict(f.holo)
+                holo[slot] = holo.get(slot, F(0)) + 1
+                bad = VVExpansion(N, f.weight, 1, holo, {}, 4 * N)
+                first = next(k for i, k in enumerate(slots) if outcome(
+                    dense_solve, *slot_system(bad, basis, slots[:i + 1]))
+                    is InconsistentSystem)
+                with pytest.raises(DecompositionError, match=re.escape(
+                        f"first inconsistent slot {first}")):
+                    decompose(bad, basis)
 
 
 class TestFormalXi:
