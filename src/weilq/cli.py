@@ -1,23 +1,24 @@
 """Command-line front end: tables, operator application, verification suites.
 
-Every subcommand prints JSON (CSV for the two flat tables on request) and
-returns exit code 0 on success, 1 on a failed verification with a
-first-mismatch witness, and 2 on argument errors.
+Every subcommand prints compact one-line JSON (CSV for the two flat tables
+on request) and returns exit code 0 on success, 1 on a failed verification
+with a first-mismatch witness, and 2 on argument errors and malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from .borcherds import borcherds_product, eta_product, weyl_vector
+from .borcherds import borcherds_product, eta_product
 from .discform import divisor_classes, divisors
 from .divisors import (CuspDivisor, converse_pipeline, cusp_classes,
                        cusp_space_dimension, eta_order, heegner_data,
                        heegner_degree, solve_cusp_matching)
-from .fracq import FracSeries
+from .fracq import parse_fraction
 from .heckeops import hecke_tp, level_u, level_v
 from .verify import SUITES, run_suite
 from .vvforms import (VVExpansion, apply_aut, basis_m_half, formal_xi,
@@ -26,9 +27,13 @@ from .vvforms import (VVExpansion, apply_aut, basis_m_half, formal_xi,
 
 def _read_json(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("input JSON must be an object")
+    return data
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -40,7 +45,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    # without indent, json uses its C encoder
+    return json.dumps(obj) + "\n"
 
 
 def _csv(rows, header) -> str:
@@ -51,7 +57,10 @@ def _csv(rows, header) -> str:
 
 
 def _load_principal(data) -> dict:
-    return {(int(n), int(g)): Fraction(m) for n, g, m in data}
+    try:
+        return {(int(n), int(g)): parse_fraction(m) for n, g, m in data}
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed principal part: {exc}") from None
 
 
 def _cmd_theta(args) -> str:
@@ -66,23 +75,14 @@ def _cmd_basis(args) -> str:
 
 def _cmd_apply(args) -> str:
     f = VVExpansion.from_json(_read_json(args.infile))
-    if args.op == "sigma":
-        if args.c is None:
-            raise ValueError("--op sigma requires --c")
-        g = apply_aut(f, args.c)
-    elif args.op == "tp":
-        if args.p is None:
-            raise ValueError("--op tp requires --p")
-        g = hecke_tp(f, args.p)
-    elif args.op == "ud":
-        if args.d is None:
-            raise ValueError("--op ud requires --d")
-        g = level_u(f, args.d)
-    else:
-        if args.l is None:
-            raise ValueError("--op vl requires --l")
-        g = level_v(f, args.l)
-    return _dump(g.to_json())
+    # built per call, so that a module name rebound after import (a wrapper
+    # or a test double) is the function applied
+    flag, op = {"sigma": ("c", apply_aut), "tp": ("p", hecke_tp),
+                "ud": ("d", level_u), "vl": ("l", level_v)}[args.op]
+    value = getattr(args, flag)
+    if value is None:
+        raise ValueError(f"--op {args.op} requires --{flag}")
+    return _dump(op(f, value).to_json())
 
 
 def _cmd_xi(args) -> str:
@@ -92,9 +92,7 @@ def _cmd_xi(args) -> str:
 
 def _cmd_product(args) -> str:
     f = VVExpansion.from_json(_read_json(args.infile))
-    weyl = Fraction(args.weyl) if args.weyl is not None else None
-    if weyl is None:
-        weyl = weyl_vector(f)
+    weyl = parse_fraction(args.weyl) if args.weyl is not None else None
     result = borcherds_product(f, weyl, args.prec)
     if args.format == "csv":
         rows = sorted(result.exponents.items())
@@ -165,7 +163,9 @@ def _cmd_verify(args) -> tuple[str, int]:
     return _dump(payload), 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="weilq",
         description="Exact q-expansions, operator calculus, Borcherds-type "

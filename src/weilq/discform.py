@@ -7,7 +7,6 @@ this index set and preserve the quadratic form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 
@@ -75,18 +74,6 @@ def index_gamma0(N: int) -> int:
 def _check_gamma(N: int, gamma: int) -> None:
     if not 0 <= gamma < 2 * N:
         raise ValueError(f"component index {gamma} is not a residue mod {2 * N}")
-
-
-def qvalue(N: int, gamma: int) -> Fraction:
-    """Value of the quadratic form gamma^2/(4N) reduced into [0, 1)."""
-    _check_gamma(N, gamma)
-    return Fraction(gamma * gamma, 4 * N) % 1
-
-
-def neg(N: int, gamma: int) -> int:
-    """The index -gamma as a canonical residue mod 2N."""
-    _check_gamma(N, gamma)
-    return (-gamma) % (2 * N)
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:

@@ -16,6 +16,7 @@ from math import gcd, isqrt
 
 from ._linalg import SingularSystem, solve_exact
 from .discform import (divisor_classes, divisors, euler_phi, index_gamma0)
+from .fracq import parse_fraction
 
 
 class MatchingError(ValueError):
@@ -47,10 +48,6 @@ def cusp_classes(N: int) -> list:
         out.append(CuspClass(c=c, orbit_size=euler_phi(g), conductor=g,
                              width=N // gcd(N, c * c)))
     return out
-
-
-def cusp_count(N: int) -> int:
-    return sum(cl.orbit_size for cl in cusp_classes(N))
 
 
 def eta_order(N: int, d: int, c: int) -> Fraction:
@@ -115,8 +112,12 @@ class CuspDivisor:
 
     @classmethod
     def from_json(cls, data: dict) -> "CuspDivisor":
-        orders = {int(c): Fraction(v) for c, v in data["orders"]}
-        return cls(int(data["N"]), {c: v for c, v in orders.items() if v})
+        """Read the orders layout; a malformed value raises ValueError."""
+        try:
+            orders = {int(c): parse_fraction(v) for c, v in data["orders"]}
+            return cls(int(data["N"]), {c: v for c, v in orders.items() if v})
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed divisor JSON: {exc}") from None
 
 
 def eta_divisor(N: int, d: int) -> CuspDivisor:

@@ -17,6 +17,26 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def parse_fraction(value) -> Fraction:
+    """``Fraction(value)`` for numbers read from outside the program.
+
+    An ASCII string ``-?[0-9]+(/[0-9]+)?`` is split and built from two ints,
+    which skips Fraction's regex; every other value goes to ``Fraction``
+    unchanged, so the accepted inputs and their values are Fraction's own.
+    A zero denominator or an infinite float raises ValueError, like any
+    other value that is not a rational number.
+    """
+    try:
+        if type(value) is str and value.isascii():
+            num, slash, den = value.partition("/")
+            if ((num[1:] if num[:1] == "-" else num).isdigit()
+                    and (den.isdigit() or not slash)):
+                return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(value)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{value!r} is not a rational number: {exc}") from None
+
+
 class FracSeries:
     """Truncated series ``sum_e c_e * q^(e/M)`` with exact rational data.
 
@@ -56,14 +76,6 @@ class FracSeries:
         self.trunc = trunc
 
     # ----- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc) -> "FracSeries":
-        return cls(1, {}, trunc)
-
-    @classmethod
-    def one(cls, trunc) -> "FracSeries":
-        return cls(1, {0: Fraction(1)}, trunc)
 
     @classmethod
     def monomial(cls, exponent, coeff=1, trunc=None) -> "FracSeries":
@@ -220,8 +232,8 @@ class FracSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "FracSeries":
-        terms = {int(e): Fraction(c) for e, c in data["terms"]}
-        return cls(int(data["denom"]), terms, Fraction(data["trunc"]))
+        terms = {int(e): parse_fraction(c) for e, c in data["terms"]}
+        return cls(int(data["denom"]), terms, parse_fraction(data["trunc"]))
 
 
 def eta_series(d: int, prec) -> FracSeries:

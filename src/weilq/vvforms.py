@@ -21,6 +21,7 @@ from math import gcd, isqrt
 
 from ._linalg import InconsistentSystem, SingularSystem, solve_exact
 from .discform import atkin_lehner, divisor_classes
+from .fracq import parse_fraction
 
 
 class DecompositionError(ValueError):
@@ -44,17 +45,52 @@ def is_supported(N: int, rep: int, n: int, gamma: int) -> bool:
     return (n - rep * gamma * gamma) % (4 * N) == 0
 
 
-def _clean_table(N: int, rep: int, table: dict) -> dict:
-    """Canonicalize keys mod 2N, drop zeros, and verify the support rule."""
+def _clean_table(N: int, rep: int, eps: int, rows) -> dict:
+    """Read [n, gamma, value] rows into a table with gamma canonical mod 2N.
+
+    Zero values are dropped.  Every stored entry must obey the support rule
+    and the symmetry a(n, -gamma) = eps * a(n, gamma), and no slot may be
+    given twice.  Each pair is checked in the same walk, when its second
+    entry is read; an entry whose partner never came is reported after it.
+    """
+    two_n = 2 * N
+    parsed = {}  # value as read -> None for zero, else (c, eps * c)
     out = {}
-    for (n, gamma), c in table.items():
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
+    unpaired = 0
+    for n, gamma, value in rows:
+        if value not in parsed:
+            c = parse_fraction(value)
+            parsed[value] = (c, eps * c) if c else None
+        entry = parsed[value]
+        if entry is None:
             continue
-        gamma %= 2 * N
+        c, mirror = entry
+        n, gamma = int(n), int(gamma) % two_n
         if not is_supported(N, rep, n, gamma):
             raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the support rule")
-        out[(n, gamma)] = c
+        key = (n, gamma)
+        if key in out:
+            raise ValueError(f"slot (n={n}, gamma={gamma}) is given twice")
+        out[key] = c
+        partner = -gamma % two_n
+        if partner == gamma:
+            if eps < 0:
+                raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
+                                 f"symmetry: a self-paired slot must vanish")
+            continue
+        v = out.get((n, partner))
+        if v is None:
+            unpaired += 1
+        # compared as ints: Fraction's == costs three times as much
+        elif v.numerator != mirror.numerator or v.denominator != mirror.denominator:
+            raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
+                             f"symmetry with gamma = {partner}")
+        else:
+            unpaired -= 1
+    if unpaired:
+        n, gamma = min(k for k in out if (k[0], -k[1] % two_n) not in out)
+        raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the symmetry: "
+                         f"gamma = {-gamma % two_n} is missing")
     return out
 
 
@@ -188,21 +224,25 @@ class VVExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "VVExpansion":
-        """Read the holo/nonholo layout; a malformed value raises ValueError."""
+        """Read the holo/nonholo layout; a malformed value raises ValueError.
+
+        The weight must be half-integral, and the tables must obey the
+        support rule and the component symmetry.
+        """
         try:
             N = int(data["N"])
             trunc = int(data["trunc"])
             rep = {"rho": 1, "dual": -1}[data["rep"]]
-            weight = Fraction(data["k"])
-            holo = {(int(n), int(g)): Fraction(c) for n, g, c in data["holo"]}
-            nonholo = {(int(n), int(g)): Fraction(c) for n, g, c in data["nonholo"]}
-        except TypeError as exc:
+            weight = parse_fraction(data["k"])
+            if N < 1 or trunc < 0:
+                raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, "
+                                 f"trunc = {trunc}")
+            eps = symmetry_sign(weight, rep)
+            holo = _clean_table(N, rep, eps, data["holo"])
+            nonholo = _clean_table(N, rep, eps, data["nonholo"])
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed expansion JSON: {exc}") from None
-        if N < 1 or trunc < 0:
-            raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, "
-                             f"trunc = {trunc}")
-        return cls(N, weight, rep, _clean_table(N, rep, holo),
-                   _clean_table(N, rep, nonholo), trunc)
+        return cls(N, weight, rep, holo, nonholo, trunc)
 
 
 # ----- constructions ----------------------------------------------------

@@ -76,7 +76,7 @@ class TestBorcherdsProduct:
     def test_level_one_is_squared_euler(self):
         # oracle: (q^(1/24) prod (1 - q^n))^2 multiplied out directly
         prec = 60
-        prod = FracSeries.one(prec)
+        prod = FracSeries(1, {0: F(1)}, prec)
         for n in range(1, prec + 1):
             prod = prod * FracSeries(1, {0: F(1), n: F(-1)}, prec)
         oracle = FracSeries.monomial(F(1, 12), 1, F(1, 12) + prec) * prod * prod
@@ -134,11 +134,11 @@ class TestEulerTransform:
         assert one_factor(2, 3, 100).terms == {0: 1, 2: -3, 4: 3, 6: -1}
 
     def test_zero_power(self):
-        assert one_factor(5, 0, 100) == FracSeries.one(100)
+        assert one_factor(5, 0, 100) == FracSeries(1, {0: F(1)}, 100)
 
     def test_matches_repeated_multiplication(self):
         base = FracSeries(1, {0: F(1), 3: F(-1)}, 40)
-        direct = FracSeries.one(40)
+        direct = FracSeries(1, {0: F(1)}, 40)
         for _ in range(5):
             direct = direct * base
         assert one_factor(3, 5, 40) == direct.truncate(40)
@@ -148,7 +148,7 @@ class TestEulerTransform:
         prod = one_factor(2, -4, 30)
         for _ in range(4):
             prod = prod * FracSeries(1, {0: F(1), 2: F(-1)}, 30)
-        assert prod.truncate(30) == FracSeries.one(30)
+        assert prod.truncate(30) == FracSeries(1, {0: F(1)}, 30)
 
     def test_rational_power_squares_back(self):
         # exponents 0, 1/2 and 1 on the left, integers on the right
@@ -166,8 +166,8 @@ class TestEulerTransform:
         prec = 20
         log_term = FracSeries(1, {k: F(-1, k) for k in range(1, prec)}, prec)
         scaled = log_term * e
-        expo = FracSeries.one(prec)
-        power = FracSeries.one(prec)
+        expo = FracSeries(1, {0: F(1)}, prec)
+        power = FracSeries(1, {0: F(1)}, prec)
         fact = 1
         for j in range(1, prec):
             power = power * scaled

@@ -131,6 +131,48 @@ class TestPipelines:
         assert [7, "1"] in data["terms"]
 
 
+class TestOutputFormat:
+    def test_every_output_is_compact_json(self, capsys, monkeypatch, tmp_path):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"principal": [[-3, 1, 1]],
+                                      "cusp_target": eta_divisor(6, 1).to_json()}))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(eta_divisor(12, 2).to_json()))
+        _, theta, _ = run(capsys, ["theta", "--N", "2", "--prec", "100"])
+        f = VVExpansion(1, F(3, 2), -1, {}, {(-4, 0): F(5)}, 10)
+        piped = [(["apply", "--op", "tp", "--p", "3"], theta),
+                 (["product", "--prec", "8"], theta),
+                 (["product", "--weyl", "1/0"], theta),
+                 (["xi"], json.dumps(f.to_json()))]
+        plain = [["theta", "--N", "6", "--prec", "50"],
+                 ["basis", "--N", "12", "--prec", "40"],
+                 ["eta", "--N", "6", "--d", "2", "--prec", "5"],
+                 ["cusps", "--N", "36"], ["eta-orders", "--N", "6"],
+                 ["dimension", "--N", "12"],
+                 ["solve", "--N", "12", "--in", str(target)],
+                 ["heegner", "--N", "1", "--n", "-3", "--gamma", "1"],
+                 ["pipeline", "--N", "6", "--in", str(bundle)],
+                 ["verify", "fricke", "--N-max", "3"],
+                 ["eta", "--N", "6", "--d", "4"]]
+        texts = []
+        for argv, stdin in piped + [(argv, None) for argv in plain]:
+            _, out, err = run(capsys, argv, stdin_text=stdin,
+                              monkeypatch=monkeypatch)
+            texts.append(out or err)
+        for text in texts:
+            assert text == json.dumps(json.loads(text)) + "\n"
+            assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["verify", "fricke", "--N-max", "4"],
+                                      ["apply", "--op", "ud", "--d", "2"]])
+    def test_repeated_calls_agree(self, capsys, monkeypatch, argv):
+        theta = json.dumps(theta_series(3, 60).to_json())
+        first = run(capsys, argv, stdin_text=theta, monkeypatch=monkeypatch)
+        second = run(capsys, argv, stdin_text=theta, monkeypatch=monkeypatch)
+        assert first[0] == 0 and json.loads(first[1])
+        assert first == second
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "fricke", "--N-max", "20"])
@@ -260,3 +302,67 @@ class TestErrors:
                            stdin_text=theta_json, monkeypatch=monkeypatch)
         assert code == 2
         assert "insufficient" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["holo"].append([4, 0, "1/0"]),
+        lambda d: d.update(k="1/0"),
+        lambda d: d.update(k="1/3"),
+        lambda d: d.update(holo=[[1, 1, "1"], [1, 3, "5"]]),
+    ], ids=["coefficient", "weight", "weight-not-half-integral", "symmetry"])
+    def test_apply_bad_expansion(self, capsys, monkeypatch, edit):
+        data = theta_series(2, 10).to_json()
+        edit(data)
+        code, out, err = run(capsys, ["apply", "--op", "sigma", "--c", "1"],
+                             stdin_text=json.dumps(data), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]
+
+    def test_apply_infinite_number(self, capsys, monkeypatch):
+        text = json.dumps(theta_series(1, 10).to_json()).replace('"2"', "1e999", 1)
+        assert "1e999" in text
+        code, out, err = run(capsys, ["apply", "--op", "sigma", "--c", "1"],
+                             stdin_text=text, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "rational" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", {"N": 6, "orders": [[1, "1/0"]]}),
+        ("heegner", {"principal": [[-20, 2, "1/0"]]}),
+        ("pipeline", {"principal": [[-20, 2, "1/0"]],
+                      "cusp_target": {"N": 6, "orders": []}}),
+    ])
+    def test_file_input_zero_denominator(self, capsys, tmp_path, command,
+                                         payload):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(payload))
+        code, out, err = run(capsys, [command, "--N", "6", "--in", str(src)])
+        assert code == 2 and out == ""
+        assert "rational" in json.loads(err)["error"]
+
+    def test_product_zero_denominator_weyl(self, capsys, monkeypatch):
+        theta_json = json.dumps(theta_series(1, 30).to_json())
+        code, out, err = run(capsys, ["product", "--weyl", "1/0", "--prec", "3"],
+                             stdin_text=theta_json, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "rational" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command", ["apply", "solve", "heegner", "pipeline"])
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
+    def test_input_not_an_object(self, capsys, tmp_path, command, text):
+        src = tmp_path / "in.json"
+        src.write_text(text)
+        argv = {"apply": ["apply", "--op", "sigma", "--c", "1"]}.get(
+            command, [command, "--N", "6"])
+        code, out, err = run(capsys, [*argv, "--in", str(src)])
+        assert code == 2 and out == ""
+        assert "object" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("field", ["N", "trunc"])
+    def test_infinite_integer_field(self, capsys, monkeypatch, field):
+        data = theta_series(1, 10).to_json()
+        data[field] = "INF"
+        text = json.dumps(data).replace('"INF"', "1e999")
+        code, out, err = run(capsys, ["apply", "--op", "sigma", "--c", "1"],
+                             stdin_text=text, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "malformed" in json.loads(err)["error"]

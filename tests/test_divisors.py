@@ -8,7 +8,7 @@ import pytest
 from weilq.discform import divisor_classes, divisors, euler_phi, index_gamma0
 from weilq.divisors import (Certificate, CuspDivisor, _coset_reps, _p1_reps,
                             _proj_automorph_order, converse_pipeline,
-                            cusp_classes, cusp_count, cusp_space_dimension,
+                            cusp_classes, cusp_space_dimension,
                             eta_divisor, eta_order, fricke_image, heegner_data,
                             heegner_degree, reduced_forms, solve_cusp_matching)
 from weilq.heckeops import legendre
@@ -38,10 +38,9 @@ def hurwitz_oracle(D: int) -> F:
 
 class TestCuspClasses:
     def test_counts(self):
-        assert cusp_count(1) == 1
-        assert cusp_count(4) == 3
-        assert cusp_count(9) == 4
-        assert cusp_count(12) == 6
+        counts = [sum(cl.orbit_size for cl in cusp_classes(N))
+                  for N in (1, 4, 9, 12)]
+        assert counts == [1, 3, 4, 6]
 
     def test_level_nine_orbits(self):
         sizes = {cl.c: cl.orbit_size for cl in cusp_classes(9)}

@@ -6,7 +6,7 @@ from math import ceil, gcd
 
 import pytest
 
-from weilq.fracq import FracSeries, eta_series
+from weilq.fracq import FracSeries, eta_series, parse_fraction
 
 
 def series(denom, terms, trunc):
@@ -44,8 +44,8 @@ class TestCanonicalization:
 
 class TestInspection:
     def test_constructors(self):
-        assert FracSeries.zero(5).is_zero()
-        one = FracSeries.one(5)
+        assert FracSeries(1, {}, 5).is_zero()
+        one = FracSeries(1, {0: F(1)}, 5)
         assert one.coefficient(0) == 1
         m = FracSeries.monomial(F(7, 24), F(3), trunc=2)
         assert m.coefficient(F(7, 24)) == 3
@@ -59,8 +59,8 @@ class TestInspection:
         assert a.leading_exponent == F(3, 2)
         assert a.leading_coefficient == F(5)
         assert a.vmin == F(3, 2)
-        assert FracSeries.zero(4).vmin == 4
-        assert FracSeries.zero(4).leading_exponent is None
+        assert FracSeries(1, {}, 4).vmin == 4
+        assert FracSeries(1, {}, 4).leading_exponent is None
 
     def test_coefficient_off_lattice_is_zero(self):
         a = series(2, {3: F(5)}, 10)
@@ -125,7 +125,7 @@ class TestArithmetic:
 
     def test_zero_factor(self):
         a = series(1, {2: F(1)}, 5)
-        z = FracSeries.zero(100)
+        z = FracSeries(1, {}, 100)
         assert (a * z).is_zero()
 
     def test_geometric_inverse(self):
@@ -133,7 +133,7 @@ class TestArithmetic:
         one_minus_q = series(1, {0: F(1), 1: F(-1)}, 50)
         geo = series(1, {i: F(1) for i in range(50)}, 50)
         prod = one_minus_q * geo
-        assert prod == FracSeries.one(50)
+        assert prod == FracSeries(1, {0: F(1)}, 50)
 
     def test_ring_axioms_random(self):
         rng = random.Random(7)
@@ -230,7 +230,7 @@ class TestEtaSeries:
     def test_against_direct_product_oracle(self):
         # eta(z) = q^(1/24) * prod_{n>=1} (1 - q^n), multiplied out directly
         prec = F(30)
-        prod = FracSeries.one(prec)
+        prod = FracSeries(1, {0: F(1)}, prec)
         for n in range(1, 31):
             prod = prod * FracSeries(1, {0: F(1), n: F(-1)}, prec)
         direct = FracSeries.monomial(F(1, 24), 1, prec) * prod
@@ -256,3 +256,54 @@ class TestSerialization:
         a = eta_series(2, 5)
         text = json.dumps(a.to_json())
         assert FracSeries.from_json(json.loads(text)) == a
+
+
+class TestParseFraction:
+    """parse_fraction against Fraction(value) as the reference."""
+
+    @staticmethod
+    def outcome(parse, value):
+        try:
+            x = parse(value)
+        except (ValueError, TypeError) as exc:
+            return type(exc)
+        return type(x), x.numerator, x.denominator
+
+    @staticmethod
+    def reference(value):
+        try:
+            return F(value)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(value) from None
+
+    def check(self, value):
+        assert self.outcome(parse_fraction, value) == \
+            self.outcome(self.reference, value), repr(value)
+
+    def test_seeded_strings(self):
+        rng = random.Random(41)
+        for _ in range(3000):
+            scale = rng.choice((1, 1, 6, 10 ** 12))
+            num = rng.randint(0, 10 ** rng.randint(0, 30)) * scale
+            text = "-" * rng.randint(0, 1) + "0" * rng.randint(0, 2) + str(num)
+            if rng.random() < 0.8:
+                text += f"/{rng.randint(0, 10 ** rng.randint(0, 12)) * scale}"
+            self.check(text)
+
+    @pytest.mark.parametrize("text", [
+        "-0/5", "007", " 3/4 ", "3 /4", "3/-4", "+3", "1_000/3", "1.5", "1e3",
+        "\u00b2", "\u0663", "", "-", "/3", "3/", "1/2/3", "--1", "-/3", "1/0",
+        "-6/4", "0/0", "2/04"])
+    def test_edge_strings(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("value", [
+        True, False, 0, -7, 10 ** 40, 1.5, -0.0, 0.1, float("inf"),
+        float("-inf"), float("nan"), F(-3, 4), None, [1]])
+    def test_other_values(self, value):
+        self.check(value)
+
+    def test_bad_numbers_raise_value_error(self):
+        for value in ("1/0", "-3/0", float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                parse_fraction(value)

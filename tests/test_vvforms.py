@@ -188,6 +188,83 @@ class TestExpansionBasics:
         f.validate()
 
 
+class TestFromJsonStrict:
+    """from_json rejects exactly the tables that validate() rejects."""
+
+    @staticmethod
+    def data(N, k, rep, holo, nonholo=(), trunc=20):
+        return {"N": N, "k": k, "rep": rep, "holo": [list(r) for r in holo],
+                "nonholo": [list(r) for r in nonholo], "trunc": trunc}
+
+    @pytest.mark.parametrize("holo, match", [
+        ([[1, 1, "1"], [1, 3, "5"]], "symmetry with gamma = 1"),
+        ([[1, 1, "1"]], "gamma = 3 is missing"),
+        ([[1, 1, "1"], [1, 3, "1"], [1, -1, "1"]], "given twice"),
+        ([[1, 1, "1"], [1, 3, "0"]], "gamma = 3 is missing"),
+    ])
+    def test_symmetry_and_duplicates(self, holo, match):
+        with pytest.raises(ValueError, match=match):
+            VVExpansion.from_json(self.data(2, "1/2", "rho", holo))
+
+    def test_self_paired_slot_must_vanish(self):
+        # weight 3/2 on rho has eps = -1, so gamma = 0 and gamma = N are empty
+        for gamma in (0, 2):
+            row = [gamma * gamma, gamma, "1"]
+            with pytest.raises(ValueError, match="self-paired"):
+                VVExpansion.from_json(self.data(2, "3/2", "rho", [row]))
+        f = VVExpansion.from_json(self.data(2, "3/2", "rho", [[4, 2, "0"]]))
+        assert not f.holo
+
+    @pytest.mark.parametrize("k", ["1/3", "1", "0"])
+    def test_weight_must_be_half_integral(self, k):
+        with pytest.raises(ValueError, match="half-integral"):
+            VVExpansion.from_json(self.data(2, k, "rho", []))
+
+    def test_agrees_with_validate(self):
+        rng = random.Random(19)
+        seen = set()
+        for case in range(120):
+            N = rng.randint(1, 6)
+            k, rep = rng.choice([F(1, 2), F(3, 2), F(5, 2)]), rng.choice([1, -1])
+            f = random_supported(N, k, rep, seed=case, trunc=24)
+            data = f.to_json()
+            assert VVExpansion.from_json(data) == f
+            rows = data[rng.choice(["holo", "nonholo"])]
+            kind = rng.randrange(4) if rows else 2
+            if kind == 0:    # one value changed
+                rows[rng.randrange(len(rows))][2] = str(F(rng.randint(-3, 3)))
+            elif kind == 1:  # one entry dropped
+                rows.pop(rng.randrange(len(rows)))
+            elif kind == 2:  # an entry at a self-paired slot
+                gamma = rng.choice([0, N])
+                free = [n for n in range(-24, 0)
+                        if (n - rep * gamma * gamma) % (4 * N) == 0
+                        and [n, gamma] not in [r[:2] for r in rows]]
+                if free:
+                    rows.append([rng.choice(free), gamma, "2"])
+            else:            # an entry and its partner scaled together
+                n, gamma, _ = rows[rng.randrange(len(rows))]
+                for r in rows:
+                    if r[0] == n and r[1] in (gamma, -gamma % (2 * N)):
+                        r[2] = str(3 * F(r[2]))
+            tables = {p: {(n, g % (2 * N)): F(c) for n, g, c in data[p] if F(c)}
+                      for p in ("holo", "nonholo")}
+            naive = VVExpansion(N, k, rep, tables["holo"], tables["nonholo"], 24)
+            try:
+                naive.validate()
+                valid = True
+            except ValueError:
+                valid = False
+            try:
+                assert VVExpansion.from_json(data) == naive
+                read = True
+            except ValueError:
+                read = False
+            assert read == valid, (case, data)
+            seen.add((valid, f.epsilon))
+        assert seen == {(True, 1), (True, -1), (False, 1), (False, -1)}
+
+
 class TestApplyAut:
     def test_identity_and_full(self):
         th = theta_series(6, 80)
