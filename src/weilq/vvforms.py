@@ -81,7 +81,7 @@ def _clean_table(N: int, rep: int, eps: int, rows) -> dict:
         v = out.get((n, partner))
         if v is None:
             unpaired += 1
-        # compared as ints: Fraction's == costs three times as much
+        # compared as ints: Fraction's != costs about three times as much
         elif v.numerator != mirror.numerator or v.denominator != mirror.denominator:
             raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
                              f"symmetry with gamma = {partner}")

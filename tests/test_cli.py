@@ -142,7 +142,6 @@ class TestOutputFormat:
         f = VVExpansion(1, F(3, 2), -1, {}, {(-4, 0): F(5)}, 10)
         piped = [(["apply", "--op", "tp", "--p", "3"], theta),
                  (["product", "--prec", "8"], theta),
-                 (["product", "--weyl", "1/0"], theta),
                  (["xi"], json.dumps(f.to_json()))]
         plain = [["theta", "--N", "6", "--prec", "50"],
                  ["basis", "--N", "12", "--prec", "40"],
