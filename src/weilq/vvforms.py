@@ -45,12 +45,12 @@ def is_supported(N: int, rep: int, n: int, gamma: int) -> bool:
     return (n - rep * gamma * gamma) % (4 * N) == 0
 
 
-def _clean_table(N: int, rep: int, eps: int, rows) -> dict:
+def _clean_table(N: int, rep: int, eps: int, rows, lo: int, hi: int) -> dict:
     """Read [n, gamma, value] rows into a table with gamma canonical mod 2N.
 
-    Zero values are dropped.  Every stored entry must obey the support rule
-    and the symmetry a(n, -gamma) = eps * a(n, gamma), and no slot may be
-    given twice.  Each pair is checked in the same walk, when its second
+    Zero values are dropped.  Stored entries need lo <= n <= hi, the support
+    rule and the symmetry a(n, -gamma) = eps * a(n, gamma), and no slot may
+    be given twice.  Each pair is checked in the same walk, when its second
     entry is read; an entry whose partner never came is reported after it.
     """
     two_n = 2 * N
@@ -66,6 +66,8 @@ def _clean_table(N: int, rep: int, eps: int, rows) -> dict:
             continue
         c, mirror = entry
         n, gamma = int(n), int(gamma) % two_n
+        if not lo <= n <= hi:
+            raise ValueError(f"entry at (n={n}, gamma={gamma}) is outside [{lo}, {hi}]")
         if not is_supported(N, rep, n, gamma):
             raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the support rule")
         key = (n, gamma)
@@ -227,7 +229,8 @@ class VVExpansion:
         """Read the holo/nonholo layout; a malformed value raises ValueError.
 
         The weight must be half-integral, and the tables must obey the
-        support rule and the component symmetry.
+        support rule and the component symmetry; holo indices lie in
+        [-trunc, trunc] and nonholo indices in [-trunc, -1].
         """
         try:
             N = int(data["N"])
@@ -238,8 +241,8 @@ class VVExpansion:
                 raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, "
                                  f"trunc = {trunc}")
             eps = symmetry_sign(weight, rep)
-            holo = _clean_table(N, rep, eps, data["holo"])
-            nonholo = _clean_table(N, rep, eps, data["nonholo"])
+            holo = _clean_table(N, rep, eps, data["holo"], -trunc, trunc)
+            nonholo = _clean_table(N, rep, eps, data["nonholo"], -trunc, -1)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed expansion JSON: {exc}") from None
         return cls(N, weight, rep, holo, nonholo, trunc)
@@ -308,10 +311,12 @@ def decompose(f: VVExpansion, basis: list) -> list:
     Solves one equation per supported slot with 0 <= n <= 4N that f or some
     basis element stores, in sorted (n, gamma) order: a slot stored by none
     of them is the equation 0 = 0 and changes neither the pivots nor the
-    coordinates.  The resulting combination is then re-checked against f on
-    the whole common reliable window, so a successful return is a proof of
-    membership up to truncation.  Failure names a slot: the first at which
-    the equations become inconsistent, or the first mismatch of the re-check.
+    coordinates; a slot repeating an earlier equation, such as (n, -gamma)
+    after (n, gamma), costs nothing, as solve_exact drops exact repeats.  The
+    combination is re-checked against f on the whole common reliable window,
+    so a successful return is a proof of membership up to truncation.  A
+    failure names a slot: the first at which the equations become
+    inconsistent, or the first mismatch of the re-check.
     """
     if f.weight != Fraction(1, 2) or f.rep != 1:
         raise DecompositionError("decomposition applies to weight 1/2 expansions "
@@ -331,8 +336,9 @@ def decompose(f: VVExpansion, basis: list) -> list:
                     for n, g in table
                     if 0 <= n <= pivot and 0 <= g < 2 * f.N
                     and is_supported(f.N, 1, n, g)})
-    rows = [[b.holo.get(k, Fraction(0)) for b in basis] for k in slots]
-    rhs = [f.holo.get(k, Fraction(0)) for k in slots]
+    zero = Fraction(0)
+    rows = [[b.holo.get(k, zero) for b in basis] for k in slots]
+    rhs = [f.holo.get(k, zero) for k in slots]
     try:
         coords = solve_exact(rows, rhs)
     except SingularSystem as exc:

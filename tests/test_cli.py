@@ -316,6 +316,22 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]
 
+    @pytest.mark.parametrize("holo, nonholo", [
+        ([[0, 0, "1"], [16, 0, "3"]], []),
+        ([[0, 0, "1"], [-16, 0, "3"]], []),
+        ([[0, 0, "1"]], [[4, 2, "1"]]),
+        ([[0, 0, "1"]], [[0, 0, "1"]]),
+        ([[0, 0, "1"]], [[-16, 0, "1"]]),
+    ], ids=["holo-above", "holo-below", "nonholo-positive", "nonholo-zero",
+            "nonholo-below"])
+    def test_apply_entry_outside_window(self, capsys, monkeypatch, holo, nonholo):
+        data = {"N": 2, "k": "1/2", "rep": "rho", "holo": holo,
+                "nonholo": nonholo, "trunc": 10}
+        code, out, err = run(capsys, ["apply", "--op", "ud", "--d", "2"],
+                             stdin_text=json.dumps(data), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "is outside [" in json.loads(err)["error"]
+
     def test_apply_infinite_number(self, capsys, monkeypatch):
         text = json.dumps(theta_series(1, 10).to_json()).replace('"2"', "1e999", 1)
         assert "1e999" in text

@@ -1,11 +1,13 @@
-"""Exact solver: the sparse-tail elimination against dense Gauss-Jordan."""
+"""Exact solver: the integer elimination against dense Fraction Gauss-Jordan."""
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
-from weilq._linalg import InconsistentSystem, SingularSystem, solve_exact
+from weilq._linalg import (InconsistentSystem, SingularSystem, _eliminate,
+                           solve_exact)
 
 
 def dense_solve(rows, rhs):
@@ -47,6 +49,40 @@ def outcome(solver, rows, rhs):
         return solver(rows, rhs)
     except (InconsistentSystem, SingularSystem) as exc:
         return type(exc)
+
+
+def first_bad_row(rows, rhs):
+    """Prefix reference: the first r such that rows[:r + 1] have no solution."""
+    return next(r for r in range(len(rows)) if outcome(
+        dense_solve, rows[:r + 1], rhs[:r + 1]) is InconsistentSystem)
+
+
+def reference(rows, rhs):
+    """dense_solve's outcome, with the first bad row of an inconsistent system."""
+    want = outcome(dense_solve, rows, rhs)
+    if want is InconsistentSystem:
+        return InconsistentSystem, first_bad_row(rows, rhs)
+    return want
+
+
+def checked(rows, rhs):
+    """solve_exact's outcome, in the form of reference().
+
+    Also checks that the inputs come back unchanged and that every entry
+    of a solution is a Fraction.
+    """
+    before = ([list(r) for r in rows], list(rhs))
+    try:
+        got = solve_exact(rows, rhs)
+        assert all(type(v) is F for v in got)
+    except InconsistentSystem as exc:
+        got = InconsistentSystem, exc.row
+    except SingularSystem:
+        got = SingularSystem
+    assert (rows, rhs) == before
+    assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r]
+                                                    for r in before[0]]
+    return got
 
 
 def entry(rng, density):
@@ -97,21 +133,117 @@ def seeded_system(kind, seed):
 KINDS = ("square", "overdetermined", "inconsistent", "rank-deficient")
 
 
+def plant_repeats(rng, rows, rhs, count):
+    """Insert copies (s*r, s*b) of random equations, s in {1, 2, -1, 1/3}."""
+    rows, rhs = [list(r) for r in rows], list(rhs)
+    for _ in range(count):
+        i = rng.randrange(len(rows))
+        s = rng.choice((1, 2, -1, F(1, 3)))
+        j = rng.randrange(len(rows) + 1)
+        rows.insert(j, [s * v for v in rows[i]])
+        rhs.insert(j, s * rhs[i])
+    return rows, rhs
+
+
 class TestAgainstDenseReference:
     @pytest.mark.parametrize("kind", KINDS)
     def test_same_solution_or_exception(self, kind):
         seen = set()
         for seed in range(150):
             rows, rhs = seeded_system(kind, 1000 * KINDS.index(kind) + seed)
-            want = outcome(dense_solve, rows, rhs)
-            got = outcome(solve_exact, rows, rhs)
-            assert got == want, (kind, seed)
-            seen.add(want if isinstance(want, type) else "solved")
+            want = reference(rows, rhs)
+            assert checked(rows, rhs) == want, (kind, seed)
+            seen.add(want if want is SingularSystem
+                     else want[0] if type(want) is tuple else "solved")
         # each kind reaches the outcome it is built for
         expected = {"square": "solved", "overdetermined": "solved",
                     "inconsistent": InconsistentSystem,
                     "rank-deficient": SingularSystem}[kind]
         assert expected in seen
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_planted_repeats(self, kind):
+        # exact and proportional copies leave every outcome, and the first
+        # bad row of every prefix, as the reference finds them
+        for seed in range(60):
+            rng = random.Random(7000 + seed)
+            rows, rhs = seeded_system(kind, 1000 * KINDS.index(kind) + seed)
+            rows, rhs = plant_repeats(rng, rows, rhs, rng.randint(1, 8))
+            assert checked(rows, rhs) == reference(rows, rhs), (kind, seed)
+
+    def test_repeats_around_a_contradicting_row(self):
+        # a contradiction of equation i at position j, with copies of both
+        # equations (exact, doubled, negated) planted before and after it
+        placed = set()
+        for seed in range(100):
+            rng = random.Random(seed)
+            rows, rhs = seeded_system("overdetermined", 9000 + seed)
+            i = rng.randrange(len(rows))
+            good = (list(rows[i]), rhs[i])
+            bad = (list(rows[i]), rhs[i] + rng.randint(1, 5))
+            j = rng.randrange(i + 1, len(rows) + 1)
+            rows.insert(j, bad[0])
+            rhs.insert(j, bad[1])
+            for s in (1, 2, -1):
+                for r, b in (good, bad):
+                    k = rng.randrange(len(rows) + 1)
+                    placed.add(k <= j)
+                    j += k <= j  # the contradicting row's position
+                    rows.insert(k, [s * v for v in r])
+                    rhs.insert(k, s * b)
+            want = reference(rows, rhs)
+            assert want[0] is InconsistentSystem
+            assert checked(rows, rhs) == want, seed
+        assert placed == {True, False}
+
+    def test_hilbert_matrix(self):
+        # entries 1/(i+j+1): the scaled rows and their updates grow large
+        n = 8
+        rows = [[F(1, i + j + 1) for j in range(n)] for i in range(n)]
+        x = [F(j - 3, j + 1) for j in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+        assert checked(rows, rhs) == dense_solve(rows, rhs) == x
+        rows.append([F(1, j + 1) for j in range(n)])
+        rhs.append(rhs[0] + F(1, 10 ** 9))
+        assert checked(rows, rhs) == (InconsistentSystem, n)
+
+    def test_eliminated_rows_stay_primitive(self):
+        # every update is divided by its content, which keeps the integers
+        # of the scaled Hilbert system small
+        n = 8
+        eqs = [[lcm(*range(i + 1, i + n + 1)) // (i + j + 1) for j in range(n)] + [1]
+               for i in range(n + 3)]
+        aug, where = _eliminate(eqs, n)
+        assert where == list(range(n))
+        assert all(gcd(*row) <= 1 for row in aug)
+
+    def test_large_denominators(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            ncols = rng.randint(1, 6)
+            rows = [[F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                     for _ in range(ncols)] for _ in range(ncols + rng.randint(1, 4))]
+            rows += [combine(rng, rng.sample(rows, 2)) for _ in range(2)]
+            x = [F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                 for _ in range(ncols)]
+            rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+            assert checked(rows, rhs) == dense_solve(rows, rhs) == x, seed
+
+    def test_mixed_int_and_fraction_input(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            rows, rhs = seeded_system(KINDS[seed % 4], 3000 + seed)
+            mix = lambda v: int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+            rows = [[mix(v) for v in row] for row in rows]
+            rhs = [mix(v) for v in rhs]
+            assert checked(rows, rhs) == reference(rows, rhs), seed
+
+    def test_all_zero_rows(self):
+        assert checked([[0, 0], [1, 0], [0, 0], [0, 1]], [0, 1, 0, 2]) == [1, 2]
+        assert checked([[0, 0], [1, 0], [F(0), 0], [0, 1]],
+                       [0, 1, F(3, 2), 2]) == (InconsistentSystem, 2)
+        assert checked([[0, 0], [0, 0]], [0, 0]) is SingularSystem
+        assert checked([[0, 0], [0, 0]], [0, -1]) == (InconsistentSystem, 1)
 
     def test_overdetermined_recovers_planted_solution(self):
         for seed in range(60):
@@ -124,10 +256,10 @@ class TestAgainstDenseReference:
             assert solve_exact(rows, rhs) == x
 
     def test_does_not_modify_its_input(self):
-        rows, rhs = seeded_system("overdetermined", 5)
-        before = ([list(r) for r in rows], list(rhs))
-        solve_exact(rows, rhs)
-        assert (rows, rhs) == before
+        for kind in KINDS:
+            rows, rhs = seeded_system(kind, 5)
+            checked(rows, rhs)
+            checked([[int(v) for v in row] for row in rows], [int(v) for v in rhs])
 
     def test_integer_input(self):
         assert solve_exact([[2, 1], [1, -1]], [3, 0]) == [F(1), F(1)]

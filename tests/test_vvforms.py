@@ -222,15 +222,18 @@ class TestFromJsonStrict:
 
     def test_agrees_with_validate(self):
         rng = random.Random(19)
-        seen = set()
-        for case in range(120):
+        seen, kinds = set(), set()
+        for case in range(180):
             N = rng.randint(1, 6)
             k, rep = rng.choice([F(1, 2), F(3, 2), F(5, 2)]), rng.choice([1, -1])
             f = random_supported(N, k, rep, seed=case, trunc=24)
             data = f.to_json()
             assert VVExpansion.from_json(data) == f
-            rows = data[rng.choice(["holo", "nonholo"])]
-            kind = rng.randrange(4) if rows else 2
+            part = rng.choice(["holo", "nonholo"])
+            rows = data[part]
+            kind = rng.randrange(6)
+            if kind in (0, 1, 3) and not rows:
+                kind = 2
             if kind == 0:    # one value changed
                 rows[rng.randrange(len(rows))][2] = str(F(rng.randint(-3, 3)))
             elif kind == 1:  # one entry dropped
@@ -242,11 +245,24 @@ class TestFromJsonStrict:
                         and [n, gamma] not in [r[:2] for r in rows]]
                 if free:
                     rows.append([rng.choice(free), gamma, "2"])
-            else:            # an entry and its partner scaled together
+            elif kind == 3:  # an entry and its partner scaled together
                 n, gamma, _ = rows[rng.randrange(len(rows))]
                 for r in rows:
                     if r[0] == n and r[1] in (gamma, -gamma % (2 * N)):
                         r[2] = str(3 * F(r[2]))
+            else:            # a symmetric pair past trunc, or nonholo at n >= 0
+                gamma = rng.randrange(2 * N)
+                n = rep * gamma * gamma % (4 * N)
+                if kind == 5:
+                    rows = data["nonholo"]
+                    n += 4 * N * rng.randint(0, (24 - n) // (4 * N))
+                elif part == "holo" and rng.random() < 0.5:
+                    n += 4 * N * (24 // (4 * N) + 1)
+                else:
+                    n -= 4 * N * ((n + 24) // (4 * N) + 1)
+                rows.append([n, gamma, "2"])
+                if -gamma % (2 * N) != gamma:
+                    rows.append([n, -gamma % (2 * N), str(2 * f.epsilon)])
             tables = {p: {(n, g % (2 * N)): F(c) for n, g, c in data[p] if F(c)}
                       for p in ("holo", "nonholo")}
             naive = VVExpansion(N, k, rep, tables["holo"], tables["nonholo"], 24)
@@ -262,7 +278,9 @@ class TestFromJsonStrict:
                 read = False
             assert read == valid, (case, data)
             seen.add((valid, f.epsilon))
+            kinds.add((kind, valid))
         assert seen == {(True, 1), (True, -1), (False, 1), (False, -1)}
+        assert {(4, False), (5, False)} <= kinds
 
 
 class TestApplyAut:
