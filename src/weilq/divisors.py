@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 from ._linalg import SingularSystem, solve_exact
 from .discform import (divisor_classes, divisors, euler_phi, index_gamma0)
-from .fracq import parse_fraction
+from .fracq import add_into, parse_fraction
 
 
 class MatchingError(ValueError):
@@ -94,11 +94,7 @@ class CuspDivisor:
             raise ValueError("cannot add divisors of different level")
         orders = dict(self.orders)
         for c, v in other.orders.items():
-            w = orders.get(c, Fraction(0)) + v
-            if w:
-                orders[c] = w
-            else:
-                orders.pop(c, None)
+            add_into(orders, c, v)
         return CuspDivisor(self.N, orders)
 
     def scaled(self, factor) -> "CuspDivisor":

@@ -17,6 +17,17 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def add_into(table: dict, key, value) -> None:
+    """Add a nonzero value into table[key], deleting the key if the sum is 0."""
+    old = table.get(key)
+    if old is None:
+        table[key] = value
+    elif total := old + value:
+        table[key] = total
+    else:
+        del table[key]
+
+
 def parse_fraction(value) -> Fraction:
     """``Fraction(value)`` for numbers read from outside the program.
 

@@ -2,9 +2,10 @@
 
 All operators scatter stored entries into their output slots, so the cost
 follows the entry count, not the window; holo and nonholo tables transform
-alike.  Each function returns a fresh expansion whose truncation records the
-tight range on which the output is exact.  On radical (formal shadow) tables
-they are the operators transported through formal_xi.
+alike.  The scatter costs one Fraction operation per contribution and drops
+cancelling slots as it goes.  Each function returns a fresh expansion whose
+truncation records the tight range on which the output is exact.  On radical
+(formal shadow) tables they are the operators transported through formal_xi.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .discform import divisors, prime_factors
+from .fracq import add_into
 from .vvforms import VVExpansion
 
 
@@ -48,26 +50,26 @@ def _tp_table(table: dict, N: int, rep: int, p: int, weight: Fraction,
     the last term only when p^2 divides n; gamma/p means multiplication by
     the inverse of p mod 2N.  Read from the stored side, an entry (m, delta)
     feeds (m/p^2, delta/p), (m, delta) and (p^2 m, p delta); only outputs
-    with lo <= n <= hi are kept.
+    with lo <= n <= hi are kept.  The middle factor (rep*m/p) p^(k-3/2) is
+    looked up by m mod p: each contribution costs one Fraction operation,
+    and a slot whose contributions cancel is dropped as it goes.
     """
     two_n = 2 * N
     pinv = pow(p, -1, two_n)
     w1 = _int_pow(p, weight - Fraction(3, 2))
-    w2 = _int_pow(p, 2 * weight - 2)
+    w2 = p * w1 * w1  # p^(2k-2)
+    chi_w1 = {1: w1, -1: -w1}
+    mid = [chi_w1.get(legendre(rep * r, p)) for r in range(p)]
     p2 = p * p
     out = {}
     for (m, delta), c in table.items():
         if m % p2 == 0 and lo <= m // p2 <= hi:
-            key = (m // p2, (pinv * delta) % two_n)
-            out[key] = out[key] + c if key in out else c
-        chi = legendre(rep * m, p) if lo <= m <= hi else 0
-        if chi:
-            v = chi * w1 * c
-            out[(m, delta)] = out[(m, delta)] + v if (m, delta) in out else v
+            add_into(out, (m // p2, (pinv * delta) % two_n), c)
+        if lo <= m <= hi and (w := mid[m % p]) is not None:
+            add_into(out, (m, delta), w * c)
         if lo <= p2 * m <= hi:
-            key = (p2 * m, (p * delta) % two_n)
-            out[key] = out[key] + w2 * c if key in out else w2 * c
-    return {k: v for k, v in out.items() if v}
+            add_into(out, (p2 * m, (p * delta) % two_n), w2 * c)
+    return out
 
 
 def _u_table(table: dict, N: int, d: int) -> dict:
@@ -93,28 +95,32 @@ def _v_table(table: dict, N: int, rep: int, ell: int, a_exp: int,
     gcd((gamma^2 - rep*n)/(4*N*ell), gamma, ell).  So an entry (m, delta)
     and a divisor a of ell feed (a^2 m, a*(delta + 2N t)) for the t < ell/a
     where ell/a divides N t^2 + delta t + (delta^2 - rep*m)/(4N), an integer
-    by the support rule; only outputs with lo <= n <= hi are kept.
+    by the support rule; only outputs with lo <= n <= hi are kept.  Each
+    (entry, a) costs one Fraction operation, shared by its roots t, and
+    cancelling slots drop out as it goes; a prefactor is one more pass.
     """
     two_n = 2 * N
-    spread = [(a, a * a, ell // a, Fraction(a) ** a_exp) for a in divisors(ell)]
-    roots = {}  # (a, delta) -> {N t^2 + delta t mod ell/a: [t, ...]}
     out = {}
-    for (m, delta), c in table.items():
-        e = (rep * m - delta * delta) // (2 * two_n)
-        for a, a2, count, weight in spread:
+    for a in divisors(ell):
+        a2, count = a * a, ell // a
+        weight = Fraction(a) ** a_exp if a > 1 and a_exp else None
+        roots = {}  # delta -> {N t^2 + delta t mod ell/a: [a*(delta + 2N t)]}
+        for (m, delta), c in table.items():
             n = a2 * m
             if not lo <= n <= hi:
                 continue
-            if (a, delta) not in roots:
-                roots[(a, delta)] = by_res = {}
+            by_res = roots.get(delta)
+            if by_res is None:
+                roots[delta] = by_res = {}
                 for t in range(count):
-                    by_res.setdefault((N * t * t + delta * t) % count, []).append(t)
-            for t in roots[(a, delta)].get(e % count, ()):
-                v = c if a == 1 or a_exp == 0 else weight * c
-                key = (n, a * (delta + two_n * t))
-                out[key] = out[key] + v if key in out else v
-    return {k: v if prefactor == 1 else prefactor * v
-            for k, v in out.items() if v}
+                    by_res.setdefault((N * t * t + delta * t) % count, []).append(
+                        a * (delta + two_n * t))
+            gammas = by_res.get((rep * m - delta * delta) // (2 * two_n) % count)
+            if gammas:
+                v = c if weight is None else weight * c
+                for gamma in gammas:
+                    add_into(out, (n, gamma), v)
+    return out if prefactor == 1 else {k: prefactor * v for k, v in out.items()}
 
 
 # ----- operators on expansions -----------------------------------------

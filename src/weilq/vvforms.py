@@ -21,7 +21,7 @@ from math import gcd, isqrt
 
 from ._linalg import InconsistentSystem, SingularSystem, solve_exact
 from .discform import atkin_lehner, divisor_classes
-from .fracq import parse_fraction
+from .fracq import add_into, parse_fraction
 
 
 class DecompositionError(ValueError):
@@ -173,31 +173,27 @@ class VVExpansion:
             return NotImplemented
         if self._kind != other._kind:
             raise ValueError("cannot add expansions of different type")
-        holo = dict(self.holo)
-        for k, c in other.holo.items():
-            v = holo.get(k, Fraction(0)) + c
-            if v:
-                holo[k] = v
-            else:
-                holo.pop(k, None)
-        nonholo = dict(self.nonholo)
-        for k, c in other.nonholo.items():
-            v = nonholo.get(k, Fraction(0)) + c
-            if v:
-                nonholo[k] = v
-            else:
-                nonholo.pop(k, None)
-        return VVExpansion(self.N, self.weight, self.rep, holo, nonholo,
-                           min(self.trunc, other.trunc), self.radical)
+        w = min(self.trunc, other.trunc)
+        parts = []
+        for mine, theirs in ((self.holo, other.holo), (self.nonholo, other.nonholo)):
+            out = {k: c for k, c in mine.items() if abs(k[0]) <= w}
+            for k, c in theirs.items():
+                if abs(k[0]) <= w:
+                    add_into(out, k, c)
+            parts.append(out)
+        return VVExpansion(self.N, self.weight, self.rep, *parts, w, self.radical)
 
     def agrees_with(self, other, window=None):
         """Exact table comparison on the common reliable index range.
 
         Returns (True, None) or (False, witness): the first differing slot in
         sorted order, or ("type", kind, kind).  Stored zeros count as absent.
+        Equal raw tables are equal on every window, so they are not filtered.
         """
         if self._kind != other._kind:
             return False, ("type", self._kind, other._kind)
+        if self.holo == other.holo and self.nonholo == other.nonholo:
+            return True, None
         w = min(self.trunc, other.trunc)
         if window is not None:
             w = min(w, window)
@@ -350,18 +346,13 @@ def decompose(f: VVExpansion, basis: list) -> list:
         )
     combo = {}
     for x, b in zip(coords, basis):
-        if not x:
-            continue
-        for k, c in b.holo.items():
-            v = combo.get(k, Fraction(0)) + x * c
-            if v:
-                combo[k] = v
-            else:
-                combo.pop(k, None)
+        if x:
+            for k, c in b.holo.items():
+                add_into(combo, k, x * c)
     keys = {k for k in combo if abs(k[0]) <= window}
     keys |= {k for k in f.holo if abs(k[0]) <= window}
     for k in sorted(keys):
-        if combo.get(k, Fraction(0)) != f.holo.get(k, Fraction(0)):
+        if combo.get(k, zero) != f.holo.get(k, zero):
             raise DecompositionError(
                 f"expansion is not in the span of the theta basis "
                 f"(first mismatch at slot {k})"
@@ -381,12 +372,19 @@ def formal_xi(f: VVExpansion) -> VVExpansion:
     return VVExpansion(f.N, 2 - f.weight, -f.rep, r, {}, f.trunc, radical=True)
 
 
+# every value random_supported draws, and its negative
+_SMALL_FRACTIONS = {(num, den): Fraction(num, den)
+                    for num in range(-9, 10) if num for den in range(1, 5)}
+
+
 def random_supported(N: int, weight, rep: int, seed: int, trunc: int) -> VVExpansion:
     """Deterministic pseudo-random expansion obeying support and symmetry.
 
     Used by the verification suites: every supported slot with |n| <= trunc
     is filled with probability about one half with a small rational, and the
-    partner slot at -gamma is set to eps times the same value.
+    partner slot at -gamma is set to eps times the same value.  A value is
+    Fraction(num, den) for num = rng.randint(-9, 9) and den drawn by
+    rng.choice((1, 1, 2, 3, 4)), read from a table built once at import.
     """
     eps = symmetry_sign(Fraction(weight), rep)
     rng = random.Random(seed)
@@ -409,8 +407,7 @@ def random_supported(N: int, weight, rep: int, seed: int, trunc: int) -> VVExpan
                 den = rng.choice((1, 1, 2, 3, 4))
                 if not num:
                     continue
-                val = Fraction(num, den)
-                table[(n, gamma)] = val
+                table[(n, gamma)] = _SMALL_FRACTIONS[num, den]
                 if partner != gamma:
-                    table[(n, partner)] = eps * val
+                    table[(n, partner)] = _SMALL_FRACTIONS[eps * num, den]
     return VVExpansion(N, Fraction(weight), rep, holo, nonholo, trunc)

@@ -6,7 +6,7 @@ from math import ceil, gcd
 
 import pytest
 
-from weilq.fracq import FracSeries, eta_series, parse_fraction
+from weilq.fracq import FracSeries, add_into, eta_series, parse_fraction
 
 
 def series(denom, terms, trunc):
@@ -307,3 +307,17 @@ class TestParseFraction:
         for value in ("1/0", "-3/0", float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 parse_fraction(value)
+
+
+class TestAddInto:
+    def test_adds_and_drops_cancelled_keys(self):
+        table = {}
+        add_into(table, "a", F(1, 2))
+        add_into(table, "b", F(3))
+        add_into(table, "a", F(1, 3))
+        assert table == {"a": F(5, 6), "b": F(3)}
+        add_into(table, "a", F(-5, 6))
+        assert table == {"b": F(3)}
+        add_into(table, "a", F(2))  # a cancelled key starts again
+        add_into(table, "b", -3)
+        assert table == {"a": F(2)}

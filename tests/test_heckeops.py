@@ -322,6 +322,25 @@ class TestGatherOracle:
             for ell in (12, 18, 30, 210):
                 assert level_v(f, ell).to_json() == gather_level_v(f, ell).to_json()
 
+    def test_cancelling_contributions_store_no_zero(self):
+        # weight 5/2 at N = 1: T_3 slot (1, 1) collects a(9, 1) + 3 a(1, 1),
+        # V_2 slot (16, 0) collects a(16, 0) + 2^2 a(4, 0); both sum to 0
+        holo = {(0, 0): F(1, 2), (1, 1): F(-1), (9, 1): F(3), (4, 0): F(-1),
+                (16, 0): F(4), (5, 1): F(2, 3)}
+        f = VVExpansion(1, F(5, 2), 1, holo, {}, 16)
+        f.validate()
+        cases = ((hecke_tp, gather_hecke_tp, 3, (1, 1), (1, 1), F(3)),
+                 (level_v, gather_level_v, 2, (16, 0), (4, 0), F(4)))
+        for op, gather, index, slot, dropped, rest in cases:
+            got = op(f, index)
+            got.validate()
+            assert all(got.holo.values()) and slot not in got.holo
+            assert got.to_json() == gather(f, index).to_json()
+            # without one of the two contributions the slot keeps the other
+            g = VVExpansion(1, f.weight, 1, dict(holo), {}, 16)
+            del g.holo[dropped]
+            assert op(g, index).holo[slot] == rest
+
 
 def with_garbage(f, seed, reach):
     """f plus seeded garbage in every supported slot with trunc < |n| <= reach.

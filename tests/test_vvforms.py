@@ -107,6 +107,14 @@ class TestExpansionBasics:
         ok, wit = h.agrees_with(th)
         assert ok, wit
 
+    def test_add_keeps_only_the_common_window(self):
+        h = theta_series(1, 100) + theta_series(1, 25)
+        assert h.trunc == 25 and (100, 0) not in h.holo
+        h.validate()
+        assert VVExpansion.from_json(h.to_json()) == h
+        assert h.agrees_with(theta_series(1, 25).scaled(2)) == (True, None)
+        assert h == theta_series(1, 25).scaled(2)
+
     def test_add_type_mismatch(self):
         with pytest.raises(ValueError):
             theta_series(2, 10) + theta_series(3, 10)
@@ -162,6 +170,21 @@ class TestExpansionBasics:
         b.nonholo[(-65, 1)] = F(2)
         assert a.agrees_with(b) == (True, None)
         assert b.agrees_with(a) == (True, None)
+
+    def test_agrees_with_equal_tables_beyond_window(self):
+        a = random_supported(4, F(1, 2), 1, seed=24, trunc=40)
+        extra = {(52, 2): F(7), (52, 6): F(7), (-44, 2): F(-2), (-44, 6): F(-2),
+                 (49, 1): F(3), (49, 7): F(3)}  # supported slots past trunc
+        b = VVExpansion(4, a.weight, 1, {**a.holo, **extra}, dict(a.nonholo), 40)
+        c = VVExpansion(4, a.weight, 1, {**a.holo, **extra}, dict(a.nonholo), 40)
+        for window in (None, 40, 3):
+            assert b.agrees_with(c, window) == (True, None)
+        c.holo[(52, 2)] = c.holo[(52, 6)] = F(8)  # now they differ only beyond
+        for window in (None, 40, 3):
+            assert b.agrees_with(c, window) == (True, None)
+        c.holo[(36, 2)] = c.holo[(36, 6)] = a.holo.get((36, 2), 0) + 1
+        assert b.agrees_with(c)[1][:2] == ("holo", (36, 2))
+        assert b.agrees_with(c, window=35) == (True, None)
 
     def test_type_mismatch_witness(self):
         from weilq.verify import _expansion_witness
@@ -519,7 +542,41 @@ class TestFormalXi:
         assert plain.agrees_with(x)[1][0] == "type"
 
 
+def reference_random_supported(N, weight, rep, seed, trunc):
+    """random_supported with the same rng calls, building each value afresh."""
+    eps = symmetry_sign(weight, rep)
+    rng = random.Random(seed)
+    holo, nonholo = {}, {}
+    for gamma in range(N + 1):
+        partner = -gamma % (2 * N)
+        if partner == gamma and eps == -1:
+            continue
+        for table, lo, hi in ((holo, -trunc, trunc), (nonholo, -trunc, -1)):
+            for n in range(lo, hi + 1):
+                if (n - rep * gamma * gamma) % (4 * N) or rng.random() >= 0.5:
+                    continue
+                num, den = rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4))
+                if num:
+                    table[(n, gamma)] = F(num, den)
+                    if partner != gamma:
+                        table[(n, partner)] = eps * F(num, den)
+    return holo, nonholo
+
+
 class TestRandomSupported:
+    def test_matches_reference_draws(self):
+        cases = [(1, F(1, 2), 1), (1, F(5, 2), -1), (2, F(3, 2), 1),
+                 (3, F(3, 2), -1), (4, F(1, 2), -1), (6, F(-1, 2), 1),
+                 (7, F(5, 2), 1), (12, F(3, 2), 1)]
+        seen = set()  # (eps, whether a self-paired slot is stored)
+        for N, k, rep in cases:
+            for seed in (0, 7, 31):
+                f = random_supported(N, k, rep, seed=seed, trunc=60)
+                assert (f.holo, f.nonholo) == reference_random_supported(N, k, rep, seed, 60)
+                assert all(type(v) is F for v in [*f.holo.values(), *f.nonholo.values()])
+                seen.add((f.epsilon, any(g in (0, N) for _, g in f.holo)))
+        assert seen == {(1, True), (-1, False)}
+
     def test_deterministic(self):
         a = random_supported(5, F(1, 2), 1, seed=4, trunc=80)
         b = random_supported(5, F(1, 2), 1, seed=4, trunc=80)
