@@ -2,15 +2,21 @@
 
 All operators scatter stored entries into their output slots, so the cost
 follows the entry count, not the window; holo and nonholo tables transform
-alike.  The scatter costs one Fraction operation per contribution and drops
-cancelling slots as it goes.  Each function returns a fresh expansion whose
-truncation records the tight range on which the output is exact.  On radical
-(formal shadow) tables they are the operators transported through formal_xi.
+alike.  The scatter costs at most one Fraction operation per contribution
+and drops cancelling slots as it goes.  What depends only on the operator's
+index, the weight and the representation (the T_p factors, the V_l divisor
+weights, and the V_l root tables, which see N only mod l/a) is computed once
+and cached under keys that leave out N, so the caches stay small at any
+level; a call computes only what needs N.  Each function returns a fresh
+expansion whose truncation records the tight range on which the output is
+exact.  On radical (formal shadow) tables they are the operators
+transported through formal_xi.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .discform import divisors, prime_factors
@@ -40,103 +46,149 @@ def _int_pow(base: int, expo: Fraction) -> Fraction:
     return Fraction(base) ** int(expo)
 
 
-def _tp_table(table: dict, N: int, rep: int, p: int, weight: Fraction,
-              lo: int, hi: int) -> dict:
-    """Three-term T_p scatter at a given weight.
+@lru_cache(maxsize=256, typed=True)
+def _tp_factors(p: int, rep: int, weight: Fraction, radical: bool) -> tuple:
+    """The factors of the three T_p terms; none of them depends on N.
+
+    Returns (first, mid, last): the factor of a(p^2 n, p gamma), None for 1;
+    mid[m % p] = (rep*m/p) p^(k-3/2), None where p divides m; and p^(2k-2),
+    at the kernel weight k (see _windows).  A radical table's global factor
+    p is folded into all three, so no pass over the output applies it.
+    Keys are typed, so a weight of another type that equals a Fraction is
+    not served that Fraction's factors.
+    """
+    kernel, scale = (weight - 1, p) if radical else (weight, 1)
+    w1 = _int_pow(p, kernel - Fraction(3, 2))
+    chi_w1 = {1: scale * w1, -1: -scale * w1}
+    mid = tuple(chi_w1.get(legendre(rep * r, p)) for r in range(p))
+    return (p if radical else None), mid, scale * p * w1 * w1
+
+
+def _tp_table(table: dict, N: int, p: int, factors: tuple, lo: int, hi: int) -> dict:
+    """Three-term T_p scatter with the factors of _tp_factors.
 
     Output slot (n, gamma) collects
         a(p^2 n, p gamma) + p^(k-3/2) (rep*n/p) a(n, gamma)
                           + p^(2k-2) a(n/p^2, gamma/p),
     the last term only when p^2 divides n; gamma/p means multiplication by
-    the inverse of p mod 2N.  Read from the stored side, an entry (m, delta)
-    feeds (m/p^2, delta/p), (m, delta) and (p^2 m, p delta); only outputs
-    with lo <= n <= hi are kept.  The middle factor (rep*m/p) p^(k-3/2) is
-    looked up by m mod p: each contribution costs one Fraction operation,
-    and a slot whose contributions cancel is dropped as it goes.
+    the inverse of p mod 2N, the one factor computed per call.  Read from
+    the stored side, an entry (m, delta) feeds (m/p^2, delta/p), (m, delta)
+    and (p^2 m, p delta); only outputs with lo <= n <= hi are kept.  Each
+    contribution costs at most one Fraction operation, and a slot whose
+    contributions cancel is dropped as it goes.
     """
+    first, mid, last = factors
     two_n = 2 * N
     pinv = pow(p, -1, two_n)
-    w1 = _int_pow(p, weight - Fraction(3, 2))
-    w2 = p * w1 * w1  # p^(2k-2)
-    chi_w1 = {1: w1, -1: -w1}
-    mid = [chi_w1.get(legendre(rep * r, p)) for r in range(p)]
     p2 = p * p
     out = {}
     for (m, delta), c in table.items():
         if m % p2 == 0 and lo <= m // p2 <= hi:
-            add_into(out, (m // p2, (pinv * delta) % two_n), c)
+            add_into(out, (m // p2, (pinv * delta) % two_n),
+                     c if first is None else first * c)
         if lo <= m <= hi and (w := mid[m % p]) is not None:
             add_into(out, (m, delta), w * c)
         if lo <= p2 * m <= hi:
-            add_into(out, (p2 * m, (p * delta) % two_n), w2 * c)
+            add_into(out, (p2 * m, (p * delta) % two_n), last * c)
     return out
 
 
 def _u_table(table: dict, N: int, d: int) -> dict:
-    """Index raising scatter: (n, gamma) feeds the d slots above it."""
+    """Index raising scatter: (n, gamma) feeds the d slots above it.
+
+    The slots are (d^2 n, d gamma + 2N d t) for t < d, with the offsets
+    2N d t computed once per call.  As gamma < 2N and t < d, the index is
+    below 2N d^2 and so already canonical: no reduction is needed.
+    """
     out = {}
-    modulus = 2 * N * d * d
-    step = 2 * N * d
     d2 = d * d
+    offsets = range(0, 2 * N * d2, 2 * N * d)
     for (n, gamma), c in table.items():
         base = d * gamma
         nn = n * d2
-        for t in range(d):
-            out[(nn, (base + step * t) % modulus)] = c
+        for s in offsets:
+            out[(nn, base + s)] = c
     return out
 
 
-def _v_table(table: dict, N: int, rep: int, ell: int, a_exp: int,
-             lo: int, hi: int, prefactor=1) -> dict:
+@lru_cache(maxsize=256)
+def _v_roots(n_mod: int, count: int) -> tuple:
+    """roots[delta % count][r]: the t < count with N t^2 + delta t = r mod count.
+
+    The roots depend on N only through n_mod = N % count, so the cache holds
+    at most count keys for each count = ell/a in use, at any level.  Every
+    call shares the returned tables, so nothing may change them.
+    """
+    roots = tuple({} for _ in range(count))
+    for delta, by_res in enumerate(roots):
+        for t in range(count):
+            by_res.setdefault((n_mod * t * t + delta * t) % count, []).append(t)
+    return roots
+
+
+@lru_cache(maxsize=256, typed=True)
+def _v_factors(ell: int, weight: Fraction, radical: bool) -> tuple:
+    """(a, a^2, ell/a, factor) for each divisor a of ell.
+
+    The factor multiplies a's contributions: a^(k-1/2) at the kernel weight
+    k (see _windows), times the global ell^(3/2-k) of a radical table, and
+    None where that is 1.  None of it depends on N.  Keys are typed, as in
+    _tp_factors.
+    """
+    kernel = weight - 1 if radical else weight
+    a_exp = int(kernel - Fraction(1, 2))
+    pref = _int_pow(ell, Fraction(3, 2) - weight) if radical else 1
+    out = []
+    for a in divisors(ell):
+        w = pref * Fraction(a) ** a_exp
+        out.append((a, a * a, ell // a, None if w == 1 else w))
+    return tuple(out)
+
+
+def _v_table(table: dict, N: int, rep: int, factors: tuple, lo: int, hi: int) -> dict:
     """Divisor-sum scatter for the index-spreading operator.
 
-    At output level N*ell the slot (n, gamma) collects a^a_exp times the
-    entry at (n/a^2, gamma/a) over positive a dividing
+    At output level N*ell the slot (n, gamma) collects the weight of a times
+    the entry at (n/a^2, gamma/a) over positive a dividing
     gcd((gamma^2 - rep*n)/(4*N*ell), gamma, ell).  So an entry (m, delta)
     and a divisor a of ell feed (a^2 m, a*(delta + 2N t)) for the t < ell/a
     where ell/a divides N t^2 + delta t + (delta^2 - rep*m)/(4N), an integer
-    by the support rule; only outputs with lo <= n <= hi are kept.  Each
-    (entry, a) costs one Fraction operation, shared by its roots t, and
-    cancelling slots drop out as it goes; a prefactor is one more pass.
+    by the support rule; only outputs with lo <= n <= hi are kept.  The
+    roots t come from _v_roots and the weights from _v_factors.  Each
+    (entry, a) costs at most one Fraction operation, shared by its roots t,
+    and cancelling slots drop out as it goes.
     """
     two_n = 2 * N
+    four_n = 2 * two_n
     out = {}
-    for a in divisors(ell):
-        a2, count = a * a, ell // a
-        weight = Fraction(a) ** a_exp if a > 1 and a_exp else None
-        roots = {}  # delta -> {N t^2 + delta t mod ell/a: [a*(delta + 2N t)]}
+    for a, a2, count, weight in factors:
+        roots = _v_roots(N % count, count)
+        step = a * two_n
         for (m, delta), c in table.items():
             n = a2 * m
             if not lo <= n <= hi:
                 continue
-            by_res = roots.get(delta)
-            if by_res is None:
-                roots[delta] = by_res = {}
-                for t in range(count):
-                    by_res.setdefault((N * t * t + delta * t) % count, []).append(
-                        a * (delta + two_n * t))
-            gammas = by_res.get((rep * m - delta * delta) // (2 * two_n) % count)
-            if gammas:
+            ts = roots[delta % count].get((rep * m - delta * delta) // four_n % count)
+            if ts:
                 v = c if weight is None else weight * c
-                for gamma in gammas:
-                    add_into(out, (n, gamma), v)
-    return out if prefactor == 1 else {k: prefactor * v for k, v in out.items()}
+                base = a * delta
+                for t in ts:
+                    add_into(out, (n, base + step * t), v)
+    return out
 
 
 # ----- operators on expansions -----------------------------------------
 
 
-def _kernel_frame(f: VVExpansion, w: int):
-    """Kernel weight and the first index of the holo and nonholo windows.
+def _windows(f: VVExpansion, w: int) -> tuple:
+    """First index of the holo and nonholo output windows.
 
     On a radical table, carrying the implicit sqrt(m/4N) through the index
     formulas turns T_p and V_l into the plain kernels taken at weight k - 1
     (up to a global power of p or l), and only outputs with 1 <= m <= w are
     kept: the nonholo window starts at 0 and so is empty.
     """
-    if f.radical:
-        return f.weight - 1, 1, 0
-    return f.weight, -w, -w
+    return (1, 0) if f.radical else (-w, -w)
 
 
 def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
@@ -148,16 +200,14 @@ def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
     """
     _require_good_prime(p, f.N)
     w = f.trunc // (p * p)
-    weight, lo, lo_nonholo = _kernel_frame(f, w)
-    holo = _tp_table(f.holo, f.N, f.rep, p, weight, lo, w)
-    if f.radical:
-        holo = {s: p * v for s, v in holo.items()}
+    lo, lo_nonholo = _windows(f, w)
+    factors = _tp_factors(p, f.rep, f.weight, f.radical)
     return VVExpansion(
         f.N,
         f.weight,
         f.rep,
-        holo,
-        _tp_table(f.nonholo, f.N, f.rep, p, weight, lo_nonholo, -1),
+        _tp_table(f.holo, f.N, p, factors, lo, w),
+        _tp_table(f.nonholo, f.N, p, factors, lo_nonholo, -1),
         w,
         f.radical,
     )
@@ -196,15 +246,14 @@ def level_v(f: VVExpansion, ell: int) -> VVExpansion:
     if ell == 1:
         return f
     w = f.trunc
-    weight, lo, lo_nonholo = _kernel_frame(f, w)
-    a_exp = int(weight - Fraction(1, 2))
-    pref = _int_pow(ell, Fraction(3, 2) - f.weight) if f.radical else 1
+    lo, lo_nonholo = _windows(f, w)
+    factors = _v_factors(ell, f.weight, f.radical)
     return VVExpansion(
         f.N * ell,
         f.weight,
         f.rep,
-        _v_table(f.holo, f.N, f.rep, ell, a_exp, lo, w, pref),
-        _v_table(f.nonholo, f.N, f.rep, ell, a_exp, lo_nonholo, -1),
+        _v_table(f.holo, f.N, f.rep, factors, lo, w),
+        _v_table(f.nonholo, f.N, f.rep, factors, lo_nonholo, -1),
         w,
         f.radical,
     )

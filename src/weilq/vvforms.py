@@ -45,6 +45,12 @@ def is_supported(N: int, rep: int, n: int, gamma: int) -> bool:
     return (n - rep * gamma * gamma) % (4 * N) == 0
 
 
+def _check_frame(N: int, trunc: int) -> None:
+    """An expansion needs a level N >= 1 and a truncation trunc >= 0."""
+    if N < 1 or trunc < 0:
+        raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, trunc = {trunc}")
+
+
 def _clean_table(N: int, rep: int, eps: int, rows, lo: int, hi: int) -> dict:
     """Read [n, gamma, value] rows into a table with gamma canonical mod 2N.
 
@@ -132,7 +138,8 @@ class VVExpansion:
         return table.get((n, gamma % (2 * self.N)), Fraction(0))
 
     def validate(self) -> None:
-        """Check the support, symmetry, range and canonicity invariants."""
+        """Check the frame, support, symmetry, range and canonicity invariants."""
+        _check_frame(self.N, self.trunc)
         eps = self.epsilon
         two_n = 2 * self.N
         for part, table in (("holo", self.holo), ("nonholo", self.nonholo)):
@@ -233,9 +240,7 @@ class VVExpansion:
             trunc = int(data["trunc"])
             rep = {"rho": 1, "dual": -1}[data["rep"]]
             weight = parse_fraction(data["k"])
-            if N < 1 or trunc < 0:
-                raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, "
-                                 f"trunc = {trunc}")
+            _check_frame(N, trunc)
             eps = symmetry_sign(weight, rep)
             holo = _clean_table(N, rep, eps, data["holo"], -trunc, trunc)
             nonholo = _clean_table(N, rep, eps, data["nonholo"], -trunc, -1)
@@ -372,9 +377,9 @@ def formal_xi(f: VVExpansion) -> VVExpansion:
     return VVExpansion(f.N, 2 - f.weight, -f.rep, r, {}, f.trunc, radical=True)
 
 
-# every value random_supported draws, and its negative
-_SMALL_FRACTIONS = {(num, den): Fraction(num, den)
-                    for num in range(-9, 10) if num for den in range(1, 5)}
+# _DRAWN[r][j] = Fraction(r - 9, (1, 1, 2, 3, 4)[j]): randint(-9, 9) is
+# r - 9 and choice((1, 1, 2, 3, 4)) the j-th entry for the draws r and j
+_DRAWN = [[Fraction(r - 9, den) for den in (1, 1, 2, 3, 4)] for r in range(19)]
 
 
 def random_supported(N: int, weight, rep: int, seed: int, trunc: int) -> VVExpansion:
@@ -383,11 +388,15 @@ def random_supported(N: int, weight, rep: int, seed: int, trunc: int) -> VVExpan
     Used by the verification suites: every supported slot with |n| <= trunc
     is filled with probability about one half with a small rational, and the
     partner slot at -gamma is set to eps times the same value.  A value is
-    Fraction(num, den) for num = rng.randint(-9, 9) and den drawn by
-    rng.choice((1, 1, 2, 3, 4)), read from a table built once at import.
+    Fraction(num, den) with num = rng.randint(-9, 9) and den =
+    rng.choice((1, 1, 2, 3, 4)), both drawn as Random._randbelow draws them:
+    getrandbits(5) until below 19, then getrandbits(3) until below 5.  The
+    values are read from a table built once at import.
     """
+    _check_frame(N, trunc)
     eps = symmetry_sign(Fraction(weight), rep)
     rng = random.Random(seed)
+    random_, getrandbits = rng.random, rng.getrandbits
     two_n = 2 * N
     four_n = 4 * N
     holo, nonholo = {}, {}
@@ -401,13 +410,17 @@ def random_supported(N: int, weight, rep: int, seed: int, trunc: int) -> VVExpan
                 continue
             start = lo + ((r0 - lo) % four_n)
             for n in range(start, hi + 1, four_n):
-                if rng.random() >= 0.5:
+                if random_() >= 0.5:
                     continue
-                num = rng.randint(-9, 9)
-                den = rng.choice((1, 1, 2, 3, 4))
-                if not num:
+                r = getrandbits(5)
+                while r >= 19:
+                    r = getrandbits(5)
+                j = getrandbits(3)
+                while j >= 5:
+                    j = getrandbits(3)
+                if r == 9:
                     continue
-                table[(n, gamma)] = _SMALL_FRACTIONS[num, den]
+                table[(n, gamma)] = _DRAWN[r][j]
                 if partner != gamma:
-                    table[(n, partner)] = _SMALL_FRACTIONS[eps * num, den]
+                    table[(n, partner)] = _DRAWN[9 + eps * (r - 9)][j]
     return VVExpansion(N, Fraction(weight), rep, holo, nonholo, trunc)

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from weilq import heckeops
 from weilq.discform import divisors, exact_divisors
 from weilq.heckeops import hecke_tp, legendre, level_u, level_v
 from weilq.vvforms import (VVExpansion, apply_aut, formal_xi, random_supported,
@@ -17,9 +18,10 @@ WEIGHTS = (F(-1, 2), F(1, 2), F(3, 2), F(5, 2))
 # ----- slow reference: the operators as gathers over the output window ---
 
 
-def _window_slots(N, rep, lo, hi):
-    """Every (n, gamma) with lo <= n <= hi on the support lattice."""
-    for gamma in range(2 * N):
+def _window_slots(N, rep, lo, hi, gamma_step=1):
+    """Every (n, gamma) with lo <= n <= hi on the support lattice, gamma a
+    multiple of gamma_step."""
+    for gamma in range(0, 2 * N, gamma_step):
         start = lo + (rep * gamma * gamma - lo) % (4 * N)
         for n in range(start, hi + 1, 4 * N):
             yield n, gamma
@@ -79,6 +81,23 @@ def gather_level_v(f, ell):
     nonholo = _gather_v(f.nonholo, f.N, f.rep, ell, a_exp, lo_nonholo, -1)
     return VVExpansion(f.N * ell, f.weight, f.rep, holo, nonholo, f.trunc,
                        f.radical)
+
+
+def gather_level_u(f, d):
+    """Slot (n, g) at level N d^2 reads a(n/d^2, g/d mod 2N) when d | g and
+    d^2 | n, and is empty otherwise.  Only slots with d | g are visited; on
+    the support lattice they have d^2 | n."""
+    M, w, d2 = f.N * d * d, f.trunc * d * d, d * d
+    parts = []
+    for table, lo, hi in ((f.holo, -w, w), (f.nonholo, -w, -1)):
+        out = {}
+        for n, g in _window_slots(M, f.rep, lo, hi, gamma_step=d):
+            assert n % d2 == 0
+            v = table.get((n // d2, g // d % (2 * f.N)))
+            if v:
+                out[(n, g)] = v
+        parts.append(out)
+    return VVExpansion(M, f.weight, f.rep, *parts, w, f.radical)
 
 
 def _inputs(levels, trunc, seed):
@@ -317,6 +336,17 @@ class TestGatherOracle:
         assert results == 16 * (20 * 6 + 67)
         assert nonempty == 2647  # T_p at p = 11 keeps only 0 <= |n| <= 1
 
+    def test_level_u_matches_gather(self):
+        results = nonempty = 0
+        for f in _inputs(range(1, 21), 121, seed=50):
+            for d in range(2, 8):
+                expected = gather_level_u(f, d)
+                assert level_u(f, d) == expected
+                results += 1
+                nonempty += bool(expected.holo or expected.nonholo)
+        assert results == 16 * 20 * 6
+        assert nonempty == 1872
+
     def test_level_v_matches_gather_at_larger_index(self):
         for f in _inputs((1, 2, 3), 121, seed=52):
             for ell in (12, 18, 30, 210):
@@ -340,6 +370,50 @@ class TestGatherOracle:
             g = VVExpansion(1, f.weight, 1, dict(holo), {}, 16)
             del g.holo[dropped]
             assert op(g, index).holo[slot] == rest
+
+
+class TestKernelCaches:
+    def test_cache_keys_do_not_depend_on_the_level(self):
+        # a cache keyed on N would keep growing over the second half of the
+        # sweep (and with it the memory a long run holds)
+        caches = [c for c in vars(heckeops).values() if hasattr(c, "cache_info")]
+        assert len(caches) == 3
+        for c in caches:
+            c.cache_clear()
+
+        def sweep(levels):
+            for N in levels:
+                for f in _inputs([N], 12, seed=70):
+                    if f.weight in (F(1, 2), F(3, 2)):
+                        for p in _good_primes(N):
+                            hecke_tp(f, p)
+                        for ell in range(2, 8):
+                            level_v(f, ell)
+            return [c.cache_info().currsize for c in caches]
+
+        sizes = sweep(range(1, 31))
+        assert sweep(range(31, 61)) == sizes
+        # T_p: 4 primes x 2 reps x 2 weights x plain/radical; V_l factors:
+        # 6 indices x 2 weights x plain/radical; V_l roots: N mod c for
+        # each c = l/a in 1..7
+        assert sorted(sizes) == sorted([4 * 2 * 2 * 2, 6 * 2 * 2, sum(range(1, 8))])
+        assert all(c.cache_info().currsize < c.cache_info().maxsize for c in caches)
+
+    def test_outcome_does_not_depend_on_earlier_calls(self):
+        # a float weight equal to a cached Fraction weight gets no factors
+        # computed for the Fraction
+        odd = VVExpansion(1, 1.5, 1, {(9, 1): F(1)}, {}, 100)
+
+        def outcome():
+            try:
+                return hecke_tp(odd, 3)
+            except Exception as exc:
+                return type(exc)
+
+        heckeops._tp_factors.cache_clear()
+        fresh = outcome()
+        hecke_tp(VVExpansion(1, F(3, 2), 1, {}, {}, 100), 3)
+        assert outcome() == fresh
 
 
 def with_garbage(f, seed, reach):

@@ -98,6 +98,9 @@ class TestExpansionBasics:
         wrong_part = VVExpansion(2, F(1, 2), 1, {}, {(8, 0): F(1)}, 10)
         with pytest.raises(ValueError, match="n >= 0"):
             wrong_part.validate()
+        for N, trunc in ((0, 10), (-2, 10), (2, -4)):
+            with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
+                VVExpansion(N, F(1, 2), 1, {}, {}, trunc).validate()
 
     def test_add_and_scale(self):
         th = theta_series(6, 50)
@@ -592,6 +595,11 @@ class TestRandomSupported:
                 assert f.holo
                 assert f.nonholo
                 assert all(n < 0 for (n, _) in f.nonholo)
+
+    def test_rejects_bad_level_and_truncation(self):
+        for N, trunc in ((0, 10), (-2, 10), (3, -4), (3, -1)):
+            with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
+                random_supported(N, F(1, 2), 1, seed=1, trunc=trunc)
 
     def test_zero_window(self):
         f = random_supported(3, F(1, 2), 1, seed=2, trunc=0)
