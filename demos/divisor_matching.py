@@ -1,14 +1,14 @@
 """Walkthrough: cusp combinatorics, the eta-product matching system, and
-weighted CM-point degrees, ending in a divisor-matching certificate.
+weighted CM-point degrees.
 
 Run with ``python3 demos/divisor_matching.py``.
 """
 
 from fractions import Fraction
 
-from weilq import (converse_pipeline, cusp_classes, cusp_space_dimension,
-                   divisor_classes, eta_divisor, eta_order, fricke_image,
-                   heegner_degree, index_gamma0, solve_cusp_matching)
+from weilq import (cusp_classes, cusp_space_dimension, divisor_classes,
+                   eta_divisor, eta_order, fricke_image, heegner_degree,
+                   index_gamma0, solve_cusp_matching)
 
 
 def banner(text):
@@ -54,21 +54,15 @@ assert x == [Fraction(0), Fraction(1, 3), Fraction(0), Fraction(0),
              Fraction(1)][:dim]
 
 banner("weighted CM-point degrees")
-print("level 1 anchors (class-number values):")
-for disc in (-3, -4, -7, -8, -11, -12):
-    g = disc % 2
-    print(f"  degree(n = {disc}) = {heegner_degree(1, disc, g)}")
+print("level 1 anchors (Hurwitz class numbers):")
+hurwitz = {-3: Fraction(1, 3), -4: Fraction(1, 2), -7: 1, -8: 1, -11: 1,
+           -12: Fraction(4, 3)}
+for disc, h in hurwitz.items():
+    deg = heegner_degree(1, disc, disc % 2)
+    print(f"  degree(n = {disc}) = {deg}")
+    assert deg == h
 print("level 5 example: n = -4 splits over the classes gamma = 4, 6")
-print("  degree:", heegner_degree(5, -4, 4), "per class")
-
-banner("a divisor-matching certificate")
-cert = converse_pipeline(1, {(-4, 0): 2}, eta_divisor(1, 1))
-print(f"principal part 2 q^(-4/4) at level 1, cusp target div(eta^2)")
-print(f"  CM degree: {cert.heegner.degree}")
-print(f"  cusp correction multiplicity: {cert.heegner.correction_mult}")
-print(f"  theta coordinates: {[(d, str(v)) for d, v in cert.theta_coefficients]}")
-print(f"  weight {cert.weight}, leading exponent {cert.weyl}")
-assert cert.heegner.degree + cert.heegner.correction_mult == 0
-
-print()
-print("the certificate balances CM-point degrees against cusp orders exactly.")
+split = [heegner_degree(5, -4, g) for g in (4, 6)]
+print("  degree:", split[0], "per class")
+# (1 + (-4/5)) * H(4) = 2 * 1/2 in total, shared by the two roots
+assert split == [Fraction(1, 2)] * 2

@@ -4,19 +4,19 @@ Sparse rational q-series on fractional exponent lattices, expansions for
 the two sign characters of the discriminant module of level N, operator
 calculus (automorphisms, Hecke, index raising and spreading, the formal
 shadow map), Borcherds-type infinite products with eta-product targets,
-and the cusp/CM divisor linear algebra behind matching a divisor by eta
-products.  Everything is exact: all coefficients are fractions.
+the cusp divisor linear algebra behind matching a divisor by eta products,
+and weighted CM-point degrees.  Everything is exact: all coefficients are
+fractions.
 """
 
 from .borcherds import (ProductResult, borcherds_product, eta_product,
                         exponent_table, weyl_vector)
 from .discform import (atkin_lehner, divisor_classes, divisors, exact_divisors,
                        euler_phi, index_gamma0, is_exact_divisor)
-from .divisors import (Certificate, CuspClass, CuspDivisor, HeegnerDivisor,
-                       HeegnerReport, MatchingError, converse_pipeline,
-                       cusp_classes, cusp_space_dimension, eta_divisor,
-                       eta_order, fricke_image, heegner_data, heegner_degree,
-                       reduced_forms, solve_cusp_matching)
+from .divisors import (CuspClass, CuspDivisor, MatchingError, cusp_classes,
+                       cusp_space_dimension, eta_divisor, eta_order,
+                       fricke_image, heegner_degree, reduced_forms,
+                       solve_cusp_matching)
 from .fracq import FracSeries, eta_series
 from .heckeops import hecke_tp, level_u, level_v
 from .verify import SUITES, SuiteResult, run_suite
@@ -34,11 +34,9 @@ __all__ = [
     "hecke_tp", "level_u", "level_v",
     "ProductResult", "borcherds_product", "eta_product", "exponent_table",
     "weyl_vector",
-    "CuspClass", "CuspDivisor", "HeegnerDivisor", "HeegnerReport",
-    "Certificate", "MatchingError", "cusp_classes", "cusp_space_dimension",
-    "eta_order", "eta_divisor", "fricke_image",
-    "solve_cusp_matching", "reduced_forms", "heegner_degree", "heegner_data",
-    "converse_pipeline",
+    "CuspClass", "CuspDivisor", "MatchingError", "cusp_classes",
+    "cusp_space_dimension", "eta_order", "eta_divisor", "fricke_image",
+    "solve_cusp_matching", "reduced_forms", "heegner_degree",
     "SuiteResult", "SUITES", "run_suite",
     "__version__",
 ]

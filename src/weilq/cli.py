@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .borcherds import borcherds_product, eta_product
 from .discform import divisor_classes, divisors
-from .divisors import (CuspDivisor, converse_pipeline, cusp_classes,
-                       cusp_space_dimension, eta_order, heegner_data,
-                       heegner_degree, solve_cusp_matching)
+from .divisors import (CuspDivisor, cusp_classes, cusp_space_dimension,
+                       eta_order, heegner_degree, solve_cusp_matching)
 from .fracq import parse_fraction
 from .heckeops import hecke_tp, level_u, level_v
 from .verify import SUITES, run_suite
@@ -54,13 +53,6 @@ def _csv(rows, header) -> str:
     for row in rows:
         lines.append(",".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def _load_principal(data) -> dict:
-    try:
-        return {(int(n), int(g)): parse_fraction(m) for n, g, m in data}
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed principal part: {exc}") from None
 
 
 def _cmd_theta(args) -> str:
@@ -137,22 +129,9 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_heegner(args) -> str:
-    if args.infile is not None:
-        principal = _load_principal(_read_json(args.infile)["principal"])
-        return _dump(heegner_data(args.N, principal).to_json())
-    if args.n is None or args.gamma is None:
-        raise ValueError("provide either --in or both --n and --gamma")
     degree = heegner_degree(args.N, args.n, args.gamma)
     return _dump({"N": args.N, "n": args.n, "gamma": args.gamma,
                   "degree": str(degree)})
-
-
-def _cmd_pipeline(args) -> str:
-    data = _read_json(args.infile)
-    principal = _load_principal(data.get("principal", []))
-    target = CuspDivisor.from_json(data["cusp_target"])
-    cert = converse_pipeline(args.N, principal, target)
-    return _dump(cert.to_json())
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -230,14 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("heegner", _cmd_heegner, help="weighted CM-point degrees")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--in", dest="infile", default=None)
-
-    p = add("pipeline", _cmd_pipeline,
-            help="divisor-matching certificate from a principal part")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--in", dest="infile", default="-")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--gamma", type=int, required=True)
 
     p = add("verify", _cmd_verify, help="run exact verification suites")
     p.add_argument("suite", choices=[*SUITES, "all"])

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from ._linalg import SingularSystem, solve_exact
-from .discform import (divisor_classes, divisors, euler_phi, index_gamma0)
+from .discform import divisor_classes, divisors, euler_phi, index_gamma0
 from .fracq import add_into, parse_fraction
 
 
@@ -154,10 +154,10 @@ def solve_cusp_matching(N: int, target: CuspDivisor):
                 f"target is not Fricke-invariant: orders at c={c} and "
                 f"c={N // c} differ"
             )
-    cols = divisor_classes(N)
-    reps = [c for c in divisors(N) if c * c <= N]
-    rows = [[eta_order(N, d, c) for d in cols] for c in reps]
-    rhs = [target.order(c) for c in reps]
+    # d ~ N/d and c ~ N/c have the same representatives
+    classes = divisor_classes(N)
+    rows = [[eta_order(N, d, c) for d in classes] for c in classes]
+    rhs = [target.order(c) for c in classes]
     try:
         return solve_exact(rows, rhs)
     except SingularSystem as exc:
@@ -167,7 +167,7 @@ def solve_cusp_matching(N: int, target: CuspDivisor):
         )
 
 
-# ----- binary quadratic forms and CM divisors ---------------------------
+# ----- binary quadratic forms and CM-point degrees ----------------------
 
 
 def reduced_forms(disc: int) -> list:
@@ -287,106 +287,3 @@ def heegner_degree(N: int, n: int, gamma: int) -> Fraction:
         if count:
             total += Fraction(count, _proj_automorph_order(A, B, C))
     return total
-
-
-@dataclass
-class HeegnerDivisor:
-    """Formal rational combination of CM-point classes (n, gamma)."""
-
-    N: int
-    mult: dict
-
-    def degree(self) -> Fraction:
-        total = Fraction(0)
-        for (n, gamma), m in self.mult.items():
-            total += m * heegner_degree(self.N, n, gamma)
-        return total
-
-    def to_json(self) -> dict:
-        return {"N": self.N,
-                "mult": [[n, g, str(self.mult[(n, g)])]
-                         for n, g in sorted(self.mult)]}
-
-
-@dataclass
-class HeegnerReport:
-    """CM divisor of a principal part, its degree, and the cusp correction."""
-
-    divisor: HeegnerDivisor
-    degree: Fraction
-    correction_class: int
-    correction_mult: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "heegner": self.divisor.to_json(),
-            "degree": str(self.degree),
-            "cusp_correction": {"c": self.correction_class,
-                                "multiplicity": str(self.correction_mult)},
-        }
-
-
-def heegner_data(N: int, principal: dict) -> HeegnerReport:
-    """Divisor data for a principal part {(n, gamma): multiplicity}, n < 0.
-
-    The degree-zero correction places -degree at the class of infinity
-    (c = N); set against the CM divisor it is the divisor that a weight 0
-    lift of the principal part would cut out.
-    """
-    mult = {}
-    for (n, gamma), m in principal.items():
-        gamma %= 2 * N
-        m = m if isinstance(m, Fraction) else Fraction(m)
-        if not m:
-            continue
-        heegner_degree(N, n, gamma)  # validates the slot
-        mult[(n, gamma)] = mult.get((n, gamma), Fraction(0)) + m
-    mult = {k: v for k, v in mult.items() if v}
-    div = HeegnerDivisor(N, mult)
-    deg = div.degree()
-    return HeegnerReport(divisor=div, degree=deg, correction_class=N,
-                         correction_mult=-deg)
-
-
-@dataclass
-class Certificate:
-    """Outcome of the divisor-matching pipeline at level N."""
-
-    N: int
-    heegner: HeegnerReport
-    theta_coefficients: list
-    weight: Fraction
-    weyl: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "heegner": self.heegner.to_json(),
-            "theta_coefficients": [[d, str(x)] for d, x in self.theta_coefficients],
-            "weight": str(self.weight),
-            "weyl": str(self.weyl),
-        }
-
-
-def converse_pipeline(N: int, principal: dict, cusp_target: CuspDivisor) -> Certificate:
-    """Match a CM principal part and a cusp target by eta products.
-
-    Produces the certificate for the divisor argument: the CM divisor and
-    its degree from the principal part, plus exact eta-product coefficients
-    x_d reproducing the cusp target, with the predicted weight sum(x_d) and
-    leading exponent sum x_d (d + N/d)/24 of the matching product.
-    """
-    report = heegner_data(N, principal)
-    coeffs = solve_cusp_matching(N, cusp_target)
-    classes = divisor_classes(N)
-    weight = sum(coeffs, Fraction(0))
-    weyl = Fraction(0)
-    for x, d in zip(coeffs, classes):
-        weyl += x * Fraction(d + N // d, 24)
-    return Certificate(
-        N=N,
-        heegner=report,
-        theta_coefficients=list(zip(classes, coeffs)),
-        weight=weight,
-        weyl=weyl,
-    )

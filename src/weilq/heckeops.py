@@ -136,11 +136,11 @@ def _v_factors(ell: int, weight: Fraction, radical: bool) -> tuple:
     _tp_factors.
     """
     kernel = weight - 1 if radical else weight
-    a_exp = int(kernel - Fraction(1, 2))
+    a_exp = kernel - Fraction(1, 2)
     pref = _int_pow(ell, Fraction(3, 2) - weight) if radical else 1
     out = []
     for a in divisors(ell):
-        w = pref * Fraction(a) ** a_exp
+        w = pref * _int_pow(a, a_exp)
         out.append((a, a * a, ell // a, None if w == 1 else w))
     return tuple(out)
 

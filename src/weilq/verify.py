@@ -235,7 +235,7 @@ def _cusp_cases(N: int, seed: int):
     yield None if zero == [Fraction(0)] * dim else {"N": N, "check": "zero"}
     rng = random.Random(seed * 1000003 + N)
     orders = {}
-    for c in [c for c in divisors(N) if c * c <= N]:
+    for c in classes:
         v = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         if v:
             orders[c] = v

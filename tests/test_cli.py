@@ -100,27 +100,6 @@ class TestPipelines:
                                     "--gamma", "1"])
         assert code == 0 and json.loads(out)["degree"] == "1/3"
 
-    def test_heegner_from_principal_file(self, capsys, tmp_path):
-        src = tmp_path / "principal.json"
-        src.write_text(json.dumps(
-            {"principal": [[-3, 1, 1], [-4, 0, "3/2"]]}))
-        code, out, _ = run(capsys, ["heegner", "--N", "1", "--in", str(src)])
-        data = json.loads(out)
-        assert code == 0
-        assert data["degree"] == str(F(1, 3) + F(3, 2) * F(1, 2))
-
-    def test_pipeline_bundle(self, capsys, monkeypatch):
-        bundle = {"principal": [],
-                  "cusp_target": eta_divisor(6, 1).to_json()}
-        code, out, _ = run(capsys, ["pipeline", "--N", "6"],
-                           stdin_text=json.dumps(bundle),
-                           monkeypatch=monkeypatch)
-        data = json.loads(out)
-        assert code == 0
-        assert data["weight"] == "1"
-        assert data["weyl"] == "7/24"
-        assert data["theta_coefficients"] == [[1, "1"], [2, "0"]]
-
     def test_out_writes_file(self, capsys, tmp_path):
         dest = tmp_path / "eta.json"
         code, out, _ = run(capsys, ["eta", "--N", "6", "--d", "1", "--out",
@@ -133,9 +112,6 @@ class TestPipelines:
 
 class TestOutputFormat:
     def test_every_output_is_compact_json(self, capsys, monkeypatch, tmp_path):
-        bundle = tmp_path / "bundle.json"
-        bundle.write_text(json.dumps({"principal": [[-3, 1, 1]],
-                                      "cusp_target": eta_divisor(6, 1).to_json()}))
         target = tmp_path / "target.json"
         target.write_text(json.dumps(eta_divisor(12, 2).to_json()))
         _, theta, _ = run(capsys, ["theta", "--N", "2", "--prec", "100"])
@@ -150,7 +126,6 @@ class TestOutputFormat:
                  ["dimension", "--N", "12"],
                  ["solve", "--N", "12", "--in", str(target)],
                  ["heegner", "--N", "1", "--n", "-3", "--gamma", "1"],
-                 ["pipeline", "--N", "6", "--in", str(bundle)],
                  ["verify", "fricke", "--N-max", "3"],
                  ["eta", "--N", "6", "--d", "4"]]
         texts = []
@@ -219,6 +194,17 @@ class TestVerifyCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--N", "6"],
+        ["heegner", "--N", "1", "--in", "FILE"],
+        ["heegner", "--N", "1", "--n", "-3"],
+    ], ids=["pipeline", "heegner-in", "heegner-without-gamma"])
+    def test_removed_forms_are_usage_errors(self, capsys, tmp_path, argv):
+        src = tmp_path / "principal.json"
+        src.write_text(json.dumps({"principal": [[-3, 1, 1]]}))
+        code, out, _ = run(capsys, [str(src) if a == "FILE" else a for a in argv])
+        assert code == 2 and out == ""
+
     def test_eta_nondivisor(self, capsys):
         code, out, err = run(capsys, ["eta", "--N", "6", "--d", "4"])
         assert code == 2 and out == ""
@@ -342,9 +328,6 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, payload", [
         ("solve", {"N": 6, "orders": [[1, "1/0"]]}),
-        ("heegner", {"principal": [[-20, 2, "1/0"]]}),
-        ("pipeline", {"principal": [[-20, 2, "1/0"]],
-                      "cusp_target": {"N": 6, "orders": []}}),
     ])
     def test_file_input_zero_denominator(self, capsys, tmp_path, command,
                                          payload):
@@ -361,7 +344,7 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "rational" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("command", ["apply", "solve", "heegner", "pipeline"])
+    @pytest.mark.parametrize("command", ["apply", "solve"])
     @pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
     def test_input_not_an_object(self, capsys, tmp_path, command, text):
         src = tmp_path / "in.json"

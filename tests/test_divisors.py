@@ -6,11 +6,11 @@ from math import gcd, isqrt
 import pytest
 
 from weilq.discform import divisor_classes, divisors, euler_phi, index_gamma0
-from weilq.divisors import (Certificate, CuspDivisor, _coset_reps, _p1_reps,
-                            _proj_automorph_order, converse_pipeline,
-                            cusp_classes, cusp_space_dimension,
-                            eta_divisor, eta_order, fricke_image, heegner_data,
-                            heegner_degree, reduced_forms, solve_cusp_matching)
+from weilq.divisors import (CuspDivisor, _coset_reps, _p1_reps,
+                            _proj_automorph_order, cusp_classes,
+                            cusp_space_dimension, eta_divisor, eta_order,
+                            fricke_image, heegner_degree, reduced_forms,
+                            solve_cusp_matching)
 from weilq.heckeops import legendre
 
 
@@ -260,65 +260,3 @@ class TestHeegnerDegree:
         with pytest.raises(ValueError, match="square"):
             heegner_degree(1, -5, 1)
 
-
-class TestHeegnerData:
-    def test_empty(self):
-        report = heegner_data(4, {})
-        assert report.degree == 0
-        assert report.correction_mult == 0
-        assert report.divisor.mult == {}
-
-    def test_single_term(self):
-        report = heegner_data(1, {(-3, 1): 1})
-        assert report.degree == F(1, 3)
-        assert report.correction_class == 1
-        assert report.correction_mult == F(-1, 3)
-
-    def test_linearity_and_normalization(self):
-        a = heegner_data(1, {(-3, 1): 2})
-        b = heegner_data(1, {(-3, 1): 1, (-4, 0): 3})
-        assert a.degree == 2 * F(1, 3)
-        assert b.degree == F(1, 3) + 3 * F(1, 2)
-        # gamma indices are normalized into the canonical range
-        c = heegner_data(1, {(-3, -1): 1})
-        assert c.degree == F(1, 3)
-
-    def test_json(self):
-        data = heegner_data(1, {(-3, 1): 1}).to_json()
-        assert data["degree"] == "1/3"
-        assert data["cusp_correction"] == {"c": 1, "multiplicity": "-1/3"}
-
-
-class TestConversePipeline:
-    def test_unit_cusp_target(self):
-        cert = converse_pipeline(6, {}, eta_divisor(6, 1))
-        assert cert.theta_coefficients == [(1, F(1)), (2, F(0))]
-        assert cert.weight == 1
-        assert cert.weyl == F(7, 24)
-        assert cert.heegner.degree == 0
-
-    def test_zero_target(self):
-        cert = converse_pipeline(6, {}, CuspDivisor.zero(6))
-        assert cert.theta_coefficients == [(1, F(0)), (2, F(0))]
-        assert cert.weight == 0
-        assert cert.weyl == 0
-
-    def test_sum_target(self):
-        target = eta_divisor(6, 1) + eta_divisor(6, 2)
-        cert = converse_pipeline(6, {}, target)
-        assert cert.theta_coefficients == [(1, F(1)), (2, F(1))]
-        assert cert.weight == 2
-        assert cert.weyl == F(7, 24) + F(5, 24)
-
-    def test_with_principal_part(self):
-        cert = converse_pipeline(1, {(-4, 0): 2}, eta_divisor(1, 1))
-        assert cert.heegner.degree == 1
-        assert cert.heegner.correction_mult == -1
-        assert cert.weight == 1
-
-    def test_json_shape(self):
-        cert = converse_pipeline(1, {(-3, 1): 1}, CuspDivisor.zero(1))
-        data = cert.to_json()
-        assert set(data) == {"N", "heegner", "theta_coefficients", "weight",
-                             "weyl"}
-        assert isinstance(cert, Certificate)

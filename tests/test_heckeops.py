@@ -244,6 +244,12 @@ class TestLevelV:
         with pytest.raises(ValueError):
             level_v(theta_series(2, 10), -1)
 
+    def test_rejects_weight_that_is_not_half_integral(self):
+        f = VVExpansion(1, F(1), 1, {(1, 1): F(1)}, {}, 100)
+        for call in (lambda: level_v(f, 2), lambda: hecke_tp(f, 3), f.validate):
+            with pytest.raises(ValueError):
+                call()
+
 
 class TestTransportedOperators:
     def test_xi_tp_single_entry(self):
