@@ -216,17 +216,16 @@ def _p1_reps(N: int):
     reps = []
     for c0 in divisors(N):
         x = c0 % N
-        units = [u for u in range(1, N + 1)
-                 if gcd(u, N) == 1 and (u * x - x) % N == 0]
-        seen = set()
+        # the units fixing x are those = 1 mod N/gcd(x, N); visiting y in
+        # ascending order meets each orbit first at its minimum
+        units = [u for u in range(1, N, N // gcd(x, N)) if gcd(u, N) == 1]
+        seen = bytearray(N)
         for y in range(N):
-            if gcd(gcd(x, y), N) != 1:
+            if seen[y] or gcd(gcd(x, y), N) != 1:
                 continue
-            key = min((u * y) % N for u in units)
-            if key in seen:
-                continue
-            seen.add(key)
-            reps.append((x, key))
+            reps.append((x, y))
+            for u in units:
+                seen[u * y % N] = 1
     return tuple(reps)
 
 
@@ -256,6 +255,19 @@ def _coset_reps(N: int):
 
 
 @lru_cache(maxsize=None)
+def _degrees_by_root(N: int, n: int) -> dict:
+    """Degrees, in sixths, of disc n at level N for all roots gamma mod 2N."""
+    bins, two_n = {}, 2 * N
+    for (A, B, C) in reduced_forms(n):
+        sixths = 6 // _proj_automorph_order(A, B, C)
+        for a, b, c, d in _coset_reps(N):
+            if (A * a * a + B * a * c + C * c * c) % N == 0:
+                g = (2 * A * a * b + B * (a * d + b * c) + 2 * C * c * d) % two_n
+                bins[g] = bins.get(g, 0) + sixths
+    return bins
+
+
+@lru_cache(maxsize=None)
 def heegner_degree(N: int, n: int, gamma: int) -> Fraction:
     """Weighted number of level-N classes of forms with disc n and root gamma.
 
@@ -265,25 +277,15 @@ def heegner_degree(N: int, n: int, gamma: int) -> Fraction:
     explicit orbit partition: within one modular-group class with automorphism
     order w, the stabilizer-weighted class count equals (number of left
     cosets whose translate satisfies the two congruences) / w, by
-    orbit-stabilizer.
+    orbit-stabilizer.  One walk over reduced forms and cosets bins the
+    translates by B mod 2N, so the degrees for all roots of n come at once.
     """
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     if n >= 0:
         raise ValueError("the discriminant index n must be negative")
-    two_n = 2 * N
-    if not 0 <= gamma < two_n:
-        raise ValueError(f"gamma must be a canonical residue mod {two_n}")
+    if not 0 <= gamma < 2 * N:
+        raise ValueError(f"gamma must be a canonical residue mod {2 * N}")
     if (n - gamma * gamma) % (4 * N):
         raise ValueError(f"n = {n} is not a square of {gamma} mod {4 * N}")
-    total = Fraction(0)
-    for (A, B, C) in reduced_forms(n):
-        count = 0
-        for a, b, c, d in _coset_reps(N):
-            A2 = A * a * a + B * a * c + C * c * c
-            if A2 % N:
-                continue
-            B2 = 2 * A * a * b + B * (a * d + b * c) + 2 * C * c * d
-            if (B2 - gamma) % two_n == 0:
-                count += 1
-        if count:
-            total += Fraction(count, _proj_automorph_order(A, B, C))
-    return total
+    return Fraction(_degrees_by_root(N, n).get(gamma, 0), 6)

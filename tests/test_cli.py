@@ -221,6 +221,13 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "positive" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("level", ["0", "-2"])
+    def test_heegner_nonpositive_level(self, capsys, level):
+        code, out, err = run(capsys, ["heegner", "--N", level, "--n", "-3",
+                                      "--gamma", "0"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "N must be a positive integer"
+
     @pytest.mark.parametrize("field, value", [("N", 0), ("trunc", -1)])
     @pytest.mark.parametrize("op", [["sigma", "--c", "1"], ["ud", "--d", "2"]])
     def test_apply_bad_level_or_window(self, capsys, monkeypatch, field, value,

@@ -6,8 +6,8 @@ from math import gcd, isqrt
 import pytest
 
 from weilq.discform import divisor_classes, divisors, euler_phi, index_gamma0
-from weilq.divisors import (CuspDivisor, _coset_reps, _p1_reps,
-                            _proj_automorph_order, cusp_classes,
+from weilq.divisors import (CuspDivisor, _coset_reps, _degrees_by_root,
+                            _p1_reps, _proj_automorph_order, cusp_classes,
                             cusp_space_dimension, eta_divisor, eta_order,
                             fricke_image, heegner_degree, reduced_forms,
                             solve_cusp_matching)
@@ -34,6 +34,27 @@ def hurwitz_oracle(D: int) -> F:
                 total += 1
         a += 1
     return total
+
+
+def p1_reps_by_minimum(N: int) -> tuple:
+    """Projective line over Z/N keyed by orbit minima, in quadratic time."""
+    if N == 1:
+        return ((1, 0),)
+    reps = []
+    for c0 in divisors(N):
+        x = c0 % N
+        units = [u for u in range(1, N + 1)
+                 if gcd(u, N) == 1 and (u * x - x) % N == 0]
+        seen = set()
+        for y in range(N):
+            if gcd(gcd(x, y), N) != 1:
+                continue
+            key = min((u * y) % N for u in units)
+            if key in seen:
+                continue
+            seen.add(key)
+            reps.append((x, key))
+    return tuple(reps)
 
 
 class TestCuspClasses:
@@ -191,8 +212,12 @@ class TestReducedForms:
 
 class TestCosetReps:
     def test_projective_line_sizes(self):
-        for N in (1, 2, 6, 12, 30):
+        for N in (1, 2, 6, 12, 30, 4001):
             assert len(_p1_reps(N)) == index_gamma0(N)
+
+    def test_matches_minimum_enumeration(self):
+        for N in range(1, 300):
+            assert _p1_reps(N) == p1_reps_by_minimum(N), N
 
     def test_determinants_and_distinctness(self):
         for N in (1, 4, 6, 15):
@@ -244,6 +269,35 @@ class TestHeegnerDegree:
                 cases += 1
         assert cases == 329
 
+    def test_composite_level_roots(self):
+        # independent oracle (Gross-Kohnen-Zagier): for gcd(N, D) = 1 each
+        # root gamma mod 2N carries one level-N class per level-1 class, so
+        # every root alone has degree H(D); a fault in the binning by gamma
+        # breaks this at composite levels, where roots are many
+        cases = 0
+        for N in range(1, 41):
+            for D in range(3, 200):
+                if -D % 4 not in (0, 1) or gcd(N, D) != 1:
+                    continue
+                for g in range(2 * N):
+                    if (g * g + D) % (4 * N) == 0:
+                        assert heegner_degree(N, -D, g) == hurwitz_oracle(D), \
+                            (N, D, g)
+                        cases += 1
+        assert cases == 2355
+
+    def test_bins_are_roots(self):
+        for N in range(1, 31):
+            for n in range(-119, 0):
+                if n % 4 in (0, 1):
+                    for g in _degrees_by_root(N, n):
+                        assert (g * g - n) % (4 * N) == 0, (N, n, g)
+
+    def test_cache_stays_inspectable(self):
+        # perfbench/worker.py checks through cache_info() that this cache is
+        # cold before its first timed call; without it that check is skipped
+        assert hasattr(heegner_degree, "cache_info")
+
     def test_gamma_symmetry(self):
         for N in (2, 3, 4, 6, 10):
             for m in range(1, 60):
@@ -259,4 +313,7 @@ class TestHeegnerDegree:
             heegner_degree(2, -3, 5)
         with pytest.raises(ValueError, match="square"):
             heegner_degree(1, -5, 1)
+        for N in (0, -2):
+            with pytest.raises(ValueError, match="N must be a positive"):
+                heegner_degree(N, -3, 0)
 
