@@ -1,10 +1,12 @@
 """Tiny exact linear solver over the rationals.
 
 Fraction-free Gauss-Jordan in Python ints with no pivot-size strategy: what
-matters is exactness and precise failure reporting.  Each equation is scaled
-to coprime integers and exact repeats are dropped, since the systems solved
-here have a dozen or so columns and up to a few thousand sparse rows, most of
-them repeats; each pivot row is subtracted through its nonzero entries only.
+matters is exactness and precise failure reporting.  The equations are read
+in order, so the first one that contradicts those before it is known the
+moment it is read.  Each is scaled to coprime integers and an exact repeat is
+skipped, since the systems solved here have a dozen or so columns and up to
+a few thousand sparse rows, most of them repeats; each pivot row is
+subtracted through its nonzero entries only.
 """
 
 from __future__ import annotations
@@ -25,43 +27,19 @@ class InconsistentSystem(ValueError):
         self.row = row
 
 
-def _eliminate(eqs, ncols):
-    """Integer Gauss-Jordan on a copy of the equations; returns (aug, pivots).
+def _clear(row: list, col: int, pivot: list) -> list:
+    """pivot[col] * row - row[col] * pivot, divided by its content.
 
-    Pivot row i of the result holds pivot column where[i], whose entry is
-    the only nonzero coefficient of that column; every row past len(where)
-    has zero coefficients, so its last entry is 0 or a contradiction.
+    Column col of the result is 0, and so is every column that is 0 in both
+    rows; dividing by the content keeps the integers small.
     """
-    aug = [list(eq) for eq in eqs]
-    m = len(aug)
-    where = []
-    prow = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(prow, m) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[prow], aug[pivot] = aug[pivot], aug[prow]
-        # Columns before col are zero in the pivot row: earlier pivot columns
-        # were eliminated, and a skipped column had no nonzero entry from
-        # row prow down.  So only the nonzero tail (columns >= col) moves.
-        head = aug[prow]
-        p = head[col]
-        tail = [(j, head[j]) for j in range(col, ncols + 1) if head[j]]
-        for r, row in enumerate(aug):
-            factor = row[col]
-            if factor and row is not head:
-                row = [p * v for v in row]
-                for j, v in tail:
-                    row[j] -= factor * v
-                g = gcd(*row)
-                aug[r] = [v // g for v in row] if g > 1 else row
-        where.append(col)
-        prow += 1
-    return aug, where
-
-
-def _contradicts(aug, where) -> bool:
-    return any(row[-1] for row in aug[len(where):])
+    p, factor = pivot[col], row[col]
+    out = [p * v for v in row]
+    for j, v in enumerate(pivot):
+        if v:
+            out[j] -= factor * v
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def solve_exact(rows, rhs):
@@ -70,37 +48,40 @@ def solve_exact(rows, rhs):
     ``rows`` is a list of equal-length coefficient lists, ``rhs`` the right
     hand sides; the solution is a list of Fractions.  Raises
     InconsistentSystem when the equations contradict one another, naming the
-    first row r such that rows[:r + 1] have no common solution (so the name
-    does not depend on the elimination order), and SingularSystem when the
-    solution is not unique.
+    first row r such that rows[:r + 1] have no common solution, and
+    SingularSystem when the solution is not unique.
     """
     m = len(rows)
     if m != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if m == 0:
         raise SingularSystem("empty system")
-    ncols, first = len(rows[0]), {}
+    ncols = len(rows[0])
+    seen = set()
+    pivots = {}  # column -> pivot row, zero in every other pivot column
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        # scaled to coprime ints; first maps each to its first row index
         ratios = [(v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
                   for v in (*row, b)]
         den = lcm(*[d for _, d in ratios])
         ints = [n * (den // d) for n, d in ratios]
         g = gcd(*ints)
-        first.setdefault(tuple([v // g for v in ints]) if g > 1 else tuple(ints), i)
-    eqs = list(first)
-    aug, where = _eliminate(eqs, ncols)
-    if _contradicts(aug, where):
-        # a dropped repeat adds nothing to a prefix: bisect the distinct ones
-        lo, hi = 0, len(eqs) - 1  # eqs[:hi + 1] contradict, eqs[:lo] do not
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _contradicts(*_eliminate(eqs[:mid + 1], ncols)):
-                hi = mid
-            else:
-                lo = mid + 1
-        raise InconsistentSystem(first[eqs[lo]])
-    if len(where) < ncols:
+        eq = tuple([v // g for v in ints]) if g > 1 else tuple(ints)
+        if eq in seen:
+            continue
+        seen.add(eq)
+        eq = list(eq)
+        for col, pivot in pivots.items():
+            if eq[col]:
+                eq = _clear(eq, col, pivot)
+        col = next((j for j in range(ncols) if eq[j]), None)
+        if col is None:
+            if eq[-1]:
+                raise InconsistentSystem(i)
+            continue
+        for c, pivot in pivots.items():
+            if pivot[col]:
+                pivots[c] = _clear(pivot, col, eq)
+        pivots[col] = eq
+    if len(pivots) < ncols:
         raise SingularSystem("underdetermined system")
-    # every column is a pivot, so where == range(ncols)
-    return [Fraction(row[-1], row[col]) for col, row in enumerate(aug[:ncols])]
+    return [Fraction(pivots[c][-1], pivots[c][c]) for c in range(ncols)]

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import ceil
 from operator import mul
 
+from .discform import divisor_classes
 from .fracq import FracSeries, eta_series
 from .vvforms import VVExpansion, basis_m_half, decompose
 
@@ -46,8 +47,6 @@ def weyl_vector(f: VVExpansion, basis=None) -> Fraction:
     if f.nonholo:
         raise ValueError("Weyl vector requires external input for an expansion "
                          "with a non-holomorphic part")
-    from .discform import divisor_classes
-
     if basis is None:
         basis = basis_m_half(f.N, 4 * f.N)
     coords = decompose(f, basis)

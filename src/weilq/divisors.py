@@ -108,10 +108,23 @@ class CuspDivisor:
 
     @classmethod
     def from_json(cls, data: dict) -> "CuspDivisor":
-        """Read the orders layout; a malformed value raises ValueError."""
+        """Read the orders layout; a malformed value raises ValueError.
+
+        N must be a positive integer and each class c a positive divisor of
+        N, given at most once.
+        """
         try:
-            orders = {int(c): parse_fraction(v) for c, v in data["orders"]}
-            return cls(int(data["N"]), {c: v for c, v in orders.items() if v})
+            N = data["N"]
+            if type(N) is not int or N < 1:
+                raise ValueError(f"N must be a positive integer, got {N!r}")
+            orders = {}
+            for c, v in data["orders"]:
+                if type(c) is not int or c < 1 or N % c:
+                    raise ValueError(f"class {c!r} is not a positive divisor of N = {N}")
+                if c in orders:
+                    raise ValueError(f"class {c} is given twice")
+                orders[c] = parse_fraction(v)
+            return cls(N, {c: v for c, v in orders.items() if v})
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed divisor JSON: {exc}") from None
 

@@ -54,16 +54,20 @@ def _check_frame(N: int, trunc: int) -> None:
 def _clean_table(N: int, rep: int, eps: int, rows, lo: int, hi: int) -> dict:
     """Read [n, gamma, value] rows into a table with gamma canonical mod 2N.
 
-    Zero values are dropped.  Stored entries need lo <= n <= hi, the support
-    rule and the symmetry a(n, -gamma) = eps * a(n, gamma), and no slot may
-    be given twice.  Each pair is checked in the same walk, when its second
-    entry is read; an entry whose partner never came is reported after it.
+    Indices must be JSON integers; zero values are dropped.  Stored entries
+    need lo <= n <= hi, the support rule and the symmetry a(n, -gamma) =
+    eps * a(n, gamma), and no slot may be given twice.  Each pair is checked
+    in the same walk, when its second entry is read; an entry whose partner
+    never came is reported after it.
     """
     two_n = 2 * N
     parsed = {}  # value as read -> None for zero, else (c, eps * c)
     out = {}
     unpaired = 0
     for n, gamma, value in rows:
+        if type(n) is not int or type(gamma) is not int:
+            raise ValueError(f"entry at (n={n!r}, gamma={gamma!r}) has a "
+                             f"non-integer index")
         if value not in parsed:
             c = parse_fraction(value)
             parsed[value] = (c, eps * c) if c else None
@@ -71,7 +75,7 @@ def _clean_table(N: int, rep: int, eps: int, rows, lo: int, hi: int) -> dict:
         if entry is None:
             continue
         c, mirror = entry
-        n, gamma = int(n), int(gamma) % two_n
+        gamma %= two_n
         if not lo <= n <= hi:
             raise ValueError(f"entry at (n={n}, gamma={gamma}) is outside [{lo}, {hi}]")
         if not is_supported(N, rep, n, gamma):
@@ -236,8 +240,9 @@ class VVExpansion:
         [-trunc, trunc] and nonholo indices in [-trunc, -1].
         """
         try:
-            N = int(data["N"])
-            trunc = int(data["trunc"])
+            N, trunc = data["N"], data["trunc"]
+            if type(N) is not int or type(trunc) is not int:
+                raise TypeError(f"N = {N!r} and trunc = {trunc!r} must be integers")
             rep = {"rho": 1, "dual": -1}[data["rep"]]
             weight = parse_fraction(data["k"])
             _check_frame(N, trunc)
@@ -309,15 +314,14 @@ def basis_m_half(N: int, trunc: int) -> list:
 def decompose(f: VVExpansion, basis: list) -> list:
     """Exact coordinates of f in the given weight 1/2 basis.
 
-    Solves one equation per supported slot with 0 <= n <= 4N that f or some
-    basis element stores, in sorted (n, gamma) order: a slot stored by none
-    of them is the equation 0 = 0 and changes neither the pivots nor the
-    coordinates; a slot repeating an earlier equation, such as (n, -gamma)
-    after (n, gamma), costs nothing, as solve_exact drops exact repeats.  The
-    combination is re-checked against f on the whole common reliable window,
-    so a successful return is a proof of membership up to truncation.  A
-    failure names a slot: the first at which the equations become
-    inconsistent, or the first mismatch of the re-check.
+    Solves one equation per slot with |n| <= window (the least truncation of
+    f and the basis) that f or some basis element stores, in sorted
+    (n, gamma) order; any other slot would be the equation 0 = 0.  The solve
+    returns only coordinates that satisfy every equation exactly, so a
+    successful return is a proof of membership up to truncation.  A failure
+    names the first slot at which the equations become inconsistent.  A slot
+    repeating an earlier equation, such as (n, -gamma) after (n, gamma),
+    costs nothing, as solve_exact skips exact repeats.
     """
     if f.weight != Fraction(1, 2) or f.rep != 1:
         raise DecompositionError("decomposition applies to weight 1/2 expansions "
@@ -332,16 +336,13 @@ def decompose(f: VVExpansion, basis: list) -> list:
         if (b.N, b.weight, b.rep) != (f.N, f.weight, f.rep):
             raise DecompositionError("basis element of mismatched type")
     window = min([f.trunc] + [b.trunc for b in basis])
-    pivot = min(window, 4 * f.N)
-    slots = sorted({(n, g) for table in [f.holo] + [b.holo for b in basis]
-                    for n, g in table
-                    if 0 <= n <= pivot and 0 <= g < 2 * f.N
-                    and is_supported(f.N, 1, n, g)})
+    slots = sorted({k for table in [f.holo] + [b.holo for b in basis]
+                    for k in table if abs(k[0]) <= window})
     zero = Fraction(0)
     rows = [[b.holo.get(k, zero) for b in basis] for k in slots]
     rhs = [f.holo.get(k, zero) for k in slots]
     try:
-        coords = solve_exact(rows, rhs)
+        return solve_exact(rows, rhs)
     except SingularSystem as exc:
         raise DecompositionError(f"theta basis is degenerate at level {f.N}: {exc}")
     except InconsistentSystem as exc:
@@ -349,20 +350,6 @@ def decompose(f: VVExpansion, basis: list) -> list:
             f"expansion is not in the span of the theta basis "
             f"(first inconsistent slot {slots[exc.row]})"
         )
-    combo = {}
-    for x, b in zip(coords, basis):
-        if x:
-            for k, c in b.holo.items():
-                add_into(combo, k, x * c)
-    keys = {k for k in combo if abs(k[0]) <= window}
-    keys |= {k for k in f.holo if abs(k[0]) <= window}
-    for k in sorted(keys):
-        if combo.get(k, zero) != f.holo.get(k, zero):
-            raise DecompositionError(
-                f"expansion is not in the span of the theta basis "
-                f"(first mismatch at slot {k})"
-            )
-    return coords
 
 
 def formal_xi(f: VVExpansion) -> VVExpansion:

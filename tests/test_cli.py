@@ -351,6 +351,51 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "rational" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("orders, match", [
+        ([[5, "1"]], "not a positive divisor"),
+        ([[0, "1"]], "not a positive divisor"),
+        ([[-2, "1"]], "not a positive divisor"),
+        ([[2, "1"], [2, "3"]], "given twice"),
+        ([[2, "1"], [2, "0"]], "given twice"),
+        ([[2.0, "1"]], "not a positive divisor"),
+        ([["2", "1"]], "not a positive divisor"),
+        ([[True, "1"]], "not a positive divisor"),
+    ], ids=["off-level", "zero", "negative", "repeated", "repeated-zero",
+            "float", "string", "bool"])
+    def test_solve_bad_class(self, capsys, tmp_path, orders, match):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"N": 6, "orders": orders}))
+        code, out, err = run(capsys, ["solve", "--N", "6", "--in", str(src)])
+        assert code == 2 and out == ""
+        assert match in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("level", [6.0, "6", 0, -6, True])
+    def test_solve_bad_divisor_level(self, capsys, tmp_path, level):
+        # N is checked before any class is divided into it
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"N": level, "orders": [[1, "1"], [0, "1"]]}))
+        code, out, err = run(capsys, ["solve", "--N", "6", "--in", str(src)])
+        assert code == 2 and out == ""
+        assert "N must be a positive integer" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["holo"].append([1.9, 1, "2"]),
+        lambda d: d["holo"].append(["1", 1, "2"]),
+        lambda d: d["holo"].append([True, True, "2"]),
+        lambda d: d["nonholo"].append([-3.0, 1, "2"]),
+        lambda d: d.update(trunc=10.7),
+        lambda d: d.update(N=1.0),
+        lambda d: d.update(N=True),
+    ], ids=["float-index", "string-index", "bool-index", "float-nonholo-index",
+            "float-trunc", "float-level", "bool-level"])
+    def test_apply_non_integer_index(self, capsys, monkeypatch, edit):
+        data = theta_series(1, 10).to_json()
+        edit(data)
+        code, out, err = run(capsys, ["apply", "--op", "sigma", "--c", "1"],
+                             stdin_text=json.dumps(data), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "integer" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("command", ["apply", "solve"])
     @pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
     def test_input_not_an_object(self, capsys, tmp_path, command, text):

@@ -6,8 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from weilq._linalg import (InconsistentSystem, SingularSystem, _eliminate,
-                           solve_exact)
+from weilq._linalg import InconsistentSystem, SingularSystem, _clear, solve_exact
 
 
 def dense_solve(rows, rhs):
@@ -208,14 +207,21 @@ class TestAgainstDenseReference:
         assert checked(rows, rhs) == (InconsistentSystem, n)
 
     def test_eliminated_rows_stay_primitive(self):
-        # every update is divided by its content, which keeps the integers
-        # of the scaled Hilbert system small
+        # every reduction step divides by the content, which keeps the
+        # integers of the scaled Hilbert system small: forward elimination
+        # through _clear leaves each row primitive after each step
         n = 8
         eqs = [[lcm(*range(i + 1, i + n + 1)) // (i + j + 1) for j in range(n)] + [1]
                for i in range(n + 3)]
-        aug, where = _eliminate(eqs, n)
-        assert where == list(range(n))
-        assert all(gcd(*row) <= 1 for row in aug)
+        pivots = []
+        for eq in eqs:
+            for col, pivot in enumerate(pivots):
+                eq = _clear(eq, col, pivot)
+                assert eq[col] == 0 and gcd(*eq) == 1
+            if len(pivots) < n:
+                assert eq[len(pivots)]
+                pivots.append(eq)
+        assert eq[:n] == [0] * n and eq[n]
 
     def test_large_denominators(self):
         for seed in range(40):

@@ -308,6 +308,31 @@ class TestFromJsonStrict:
         assert seen == {(True, 1), (True, -1), (False, 1), (False, -1)}
         assert {(4, False), (5, False)} <= kinds
 
+    @pytest.mark.parametrize("field, value", [
+        ("N", 1.0), ("N", "1"), ("N", True), ("trunc", 10.7), ("trunc", "10"),
+        ("trunc", True),
+    ])
+    def test_level_and_window_must_be_integers(self, field, value):
+        data = self.data(1, "1/2", "rho", [[0, 0, "1"]], trunc=10)
+        data[field] = value
+        with pytest.raises(ValueError, match="must be integers"):
+            VVExpansion.from_json(data)
+
+    @pytest.mark.parametrize("row", [
+        [1.9, 1, "2"], [1.0, 1, "2"], ["1", 1, "2"], [1, "1", "2"],
+        [True, True, "2"], [1, 1.0, "2"], [1.5, 1, "0"],
+    ])
+    @pytest.mark.parametrize("part", ["holo", "nonholo"])
+    def test_indices_must_be_integers(self, row, part):
+        # truncated to ints, each index pair reads as slot (1, 1), or (-1, 1)
+        # in nonholo; a zero value does not excuse a non-integer index
+        if part == "nonholo" and type(row[0]) is not str:
+            row = [-row[0], *row[1:]]
+        data = self.data(1, "1/2", "rho", [[0, 0, "1"]], trunc=10)
+        data[part].append(row)
+        with pytest.raises(ValueError, match="non-integer index"):
+            VVExpansion.from_json(data)
+
 
 class TestApplyAut:
     def test_identity_and_full(self):
@@ -381,13 +406,25 @@ class TestDecompose:
         assert decompose(f, basis) == [F(1, 2), F(-2, 3), F(5)]
 
     def test_rejects_outside_span(self):
-        # the alien slot is inside the reliable window but past the pivot
-        # block, so it is caught by the full-window re-check
+        # the alien slot is inside the reliable window but past n = 4N, where
+        # the coordinates are already fixed
         basis = basis_m_half(6, 60)
         alien = VVExpansion(6, F(1, 2), 1, {(49, 1): F(1), (49, 11): F(1)},
                             {}, 60)
-        with pytest.raises(DecompositionError, match="not in the span"):
+        with pytest.raises(DecompositionError, match=re.escape(
+                "not in the span of the theta basis (first inconsistent slot "
+                "(49, 1))")):
             decompose(basis[0] + alien, basis)
+
+    def test_names_principal_part_slot(self):
+        # theta series have no principal part, so a holo entry at n < 0 is
+        # the equation 0 = c, and it sorts before every slot with n >= 0
+        basis = basis_m_half(6, 24)
+        polar = VVExpansion(6, F(1, 2), 1, {(-23, 1): F(2), (-23, 11): F(2)},
+                            {}, 24)
+        with pytest.raises(DecompositionError, match=re.escape(
+                "first inconsistent slot (-23, 1)")):
+            decompose(basis[0] + polar, basis)
 
     def test_rejects_inconsistent_pivot_rows(self):
         basis = basis_m_half(6, 24)
@@ -452,7 +489,8 @@ class TestDecomposeOracle:
                 assert got == coords == all_slots_coordinates(f, basis), N
 
     def test_garbage_at_unsupported_slots_is_caught(self):
-        # unsupported slots never enter the solve; the re-check still sees them
+        # basis elements vanish at unsupported slots, so garbage there is
+        # the equation 0 = c
         rng = random.Random(7)
         for N in (1, 4, 6, 12, 30):
             window = 6 * N
@@ -464,7 +502,7 @@ class TestDecomposeOracle:
                 bad = VVExpansion(N, f.weight, 1, {**f.holo, slot: F(7, 3)}, {},
                                   window)
                 with pytest.raises(DecompositionError, match=re.escape(
-                        f"first mismatch at slot {slot}")):
+                        f"first inconsistent slot {slot}")):
                     decompose(bad, basis)
             beyond = {(window + 4 * N, 0): F(5)}
             assert decompose(VVExpansion(N, f.weight, 1, {**f.holo, **beyond}, {},
