@@ -136,7 +136,7 @@ def _cmd_heegner(args) -> str:
 
 def _cmd_verify(args) -> tuple[str, int]:
     results = run_suite(args.suite, n_max=args.N_max, prec=args.prec,
-                        seed=args.seed, jobs=args.jobs)
+                        seed=args.seed)
     ok = all(r.ok for r in results)
     payload = {"ok": ok, "results": [r.to_json() for r in results]}
     return _dump(payload), 0 if ok else 1
@@ -217,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-max", dest="N_max", type=int, default=None)
     p.add_argument("--prec", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -76,25 +76,16 @@ def _check_gamma(N: int, gamma: int) -> None:
         raise ValueError(f"component index {gamma} is not a residue mod {2 * N}")
 
 
-def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    """Solve x = a1 (mod m1), x = a2 (mod m2); moduli need not be coprime."""
-    g = gcd(m1, m2)
-    if (a2 - a1) % g:
-        raise ValueError("incompatible congruences")
-    m2g = m2 // g
-    t = ((a2 - a1) // g * pow(m1 // g, -1, m2g)) % m2g
-    return (a1 + m1 * t) % (m1 // g * m2)
-
-
 def atkin_lehner(N: int, c: int, gamma: int) -> int:
     """Image of gamma under the involution attached to an exact divisor c.
 
     sigma_c(gamma) is the unique residue mod 2N that is = -gamma mod 2c and
-    = gamma mod 2N/c.  The two moduli share the factor 2 but -gamma and
-    gamma always agree mod 2, so the combined congruence has exactly one
-    solution mod lcm(2c, 2N/c) = 2N.
+    = gamma mod 2N/c.  It is multiplication by the unit
+    eps = 2c * (c^-1 mod N/c) - 1, which is = -1 mod 2c and = 1 mod 2N/c
+    (since c * c^-1 = 1 mod N/c).
     """
     if not is_exact_divisor(N, c):
         raise ValueError(f"{c} is not an exact divisor of {N}")
     _check_gamma(N, gamma)
-    return _crt(-gamma, 2 * c, gamma, 2 * N // c)
+    eps = 2 * c * pow(c, -1, N // c) - 1
+    return eps * gamma % (2 * N)

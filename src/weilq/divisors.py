@@ -125,6 +125,8 @@ class CuspDivisor:
                     raise ValueError(f"class {c} is given twice")
                 orders[c] = parse_fraction(v)
             return cls(N, {c: v for c, v in orders.items() if v})
+        except KeyError as exc:
+            raise ValueError(f"malformed divisor JSON: missing field {exc}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed divisor JSON: {exc}") from None
 

@@ -9,7 +9,8 @@ weights, and the V_l root tables, which see N only mod l/a) is computed once
 and cached under keys that leave out N, so the caches stay small at any
 level; a call computes only what needs N.  Each function returns a fresh
 expansion whose truncation records the tight range on which the output is
-exact.  On radical (formal shadow) tables they are the operators
+exact, except that level_u(f, 1) and level_v(f, 1) return f itself.  On
+radical (formal shadow) tables they are the operators
 transported through formal_xi.
 """
 

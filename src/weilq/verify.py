@@ -4,18 +4,17 @@ Each suite is a case generator ``cases(N, **params)`` that yields one value
 per case at level N: None when the case passes, or a first-mismatch
 failure dict.  ``SUITES`` maps each name to its generator and its default
 parameters, which are the release acceptance parameters; ``run_suite``
-runs a generator over the levels 1..n_max and returns a SuiteResult with
-the case count and the failures.  The command-line front end and the
-release test suite both go through ``run_suite``.
+runs a generator over the levels 1..n_max, serially in one process, and
+returns a SuiteResult with the case count and the failures.  The
+command-line front end and the release test suite both go through
+``run_suite``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 from .borcherds import borcherds_product, eta_product, weyl_vector
@@ -44,15 +43,6 @@ class SuiteResult:
         return {"suite": self.suite, "cases": self.cases, "ok": self.ok,
                 "failure_count": len(self.failures),
                 "failures": self.failures[:10]}
-
-
-def _pmap(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(jobs, len(items))) as pool:
-        return pool.map(fn, items)
 
 
 def _failure(witness, **where):
@@ -339,22 +329,15 @@ SUITES = {
 }
 
 
-def _run_level(cases, params: dict, N: int):
-    """(case count, failures) of one suite at level N."""
-    outcomes = list(cases(N, **params))
-    return len(outcomes), [f for f in outcomes if f is not None]
-
-
-def run_suite(name: str, jobs: int = 1, **kwargs) -> list:
+def run_suite(name: str, **kwargs) -> list:
     """Run one named suite, or all of them; returns a list of SuiteResult.
 
-    Keyword arguments that a suite's defaults name override them when not
-    None; the rest are ignored, so one set of options serves "all".
+    Every case runs serially in this process, level by level.  Keyword
+    arguments that a suite's defaults name override them when not None; the
+    rest are ignored, so one set of options serves "all".
     """
-    if jobs < 1:
-        raise ValueError(f"jobs = {jobs} must be at least 1")
     if name == "all":
-        return [run_suite(key, jobs, **kwargs)[0] for key in SUITES]
+        return [run_suite(key, **kwargs)[0] for key in SUITES]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join([*SUITES, 'all'])}")
@@ -366,6 +349,10 @@ def run_suite(name: str, jobs: int = 1, **kwargs) -> list:
         if k != "seed" and isinstance(v, int) and v < 1:
             raise ValueError(f"{name}: {k} = {v} must be at least 1")
     n_max = params.pop("n_max")
-    pairs = _pmap(partial(_run_level, cases, params), range(1, n_max + 1), jobs)
-    return [SuiteResult(name, sum(c for c, _ in pairs),
-                        [f for _, fs in pairs for f in fs])]
+    count, failures = 0, []
+    for N in range(1, n_max + 1):
+        for outcome in cases(N, **params):
+            count += 1
+            if outcome is not None:
+                failures.append(outcome)
+    return [SuiteResult(name, count, failures)]

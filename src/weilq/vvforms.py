@@ -243,12 +243,16 @@ class VVExpansion:
             N, trunc = data["N"], data["trunc"]
             if type(N) is not int or type(trunc) is not int:
                 raise TypeError(f"N = {N!r} and trunc = {trunc!r} must be integers")
-            rep = {"rho": 1, "dual": -1}[data["rep"]]
+            if data["rep"] not in ("rho", "dual"):
+                raise TypeError(f"rep must be 'rho' or 'dual', got {data['rep']!r}")
+            rep = 1 if data["rep"] == "rho" else -1
             weight = parse_fraction(data["k"])
             _check_frame(N, trunc)
             eps = symmetry_sign(weight, rep)
             holo = _clean_table(N, rep, eps, data["holo"], -trunc, trunc)
             nonholo = _clean_table(N, rep, eps, data["nonholo"], -trunc, -1)
+        except KeyError as exc:
+            raise ValueError(f"malformed expansion JSON: missing field {exc}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed expansion JSON: {exc}") from None
         return cls(N, weight, rep, holo, nonholo, trunc)
@@ -276,15 +280,20 @@ def theta_series(N: int, trunc: int) -> VVExpansion:
 
 
 def apply_aut(f: VVExpansion, c: int) -> VVExpansion:
-    """Relabel components through the Atkin-Lehner involution sigma_c."""
+    """Relabel components through the Atkin-Lehner involution sigma_c.
+
+    sigma_c is multiplication by one unit mod 2N (see atkin_lehner), so the
+    cost is one step per stored entry, whatever the level.
+    """
     N = f.N
-    perm = {g: atkin_lehner(N, c, g) for g in range(2 * N)}
+    two_n = 2 * N
+    eps = atkin_lehner(N, c, 1)
     return VVExpansion(
         N,
         f.weight,
         f.rep,
-        {(n, perm[g]): v for (n, g), v in f.holo.items()},
-        {(n, perm[g]): v for (n, g), v in f.nonholo.items()},
+        {(n, eps * g % two_n): v for (n, g), v in f.holo.items()},
+        {(n, eps * g % two_n): v for (n, g), v in f.nonholo.items()},
         f.trunc,
         f.radical,
     )

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import weilq
 import weilq.verify as verify
 from weilq.cli import main
 from weilq.divisors import eta_divisor
@@ -147,6 +150,15 @@ class TestOutputFormat:
         assert first == second
 
 
+def test_cli_import_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(weilq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, weilq.cli; "
+            "assert 'multiprocessing' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "fricke", "--N-max", "20"])
@@ -185,20 +197,14 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "must be at least 1" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("jobs", ["0", "-5"])
-    def test_jobs_below_one(self, capsys, jobs):
-        code, out, err = run(capsys, ["verify", "fricke", "--N-max", "3",
-                                      "--jobs", jobs])
-        assert code == 2 and out == ""
-        assert f"jobs = {jobs} must be at least 1" in json.loads(err)["error"]
-
 
 class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["pipeline", "--N", "6"],
         ["heegner", "--N", "1", "--in", "FILE"],
         ["heegner", "--N", "1", "--n", "-3"],
-    ], ids=["pipeline", "heegner-in", "heegner-without-gamma"])
+        ["verify", "fricke", "--jobs", "2"],
+    ], ids=["pipeline", "heegner-in", "heegner-without-gamma", "verify-jobs"])
     def test_removed_forms_are_usage_errors(self, capsys, tmp_path, argv):
         src = tmp_path / "principal.json"
         src.write_text(json.dumps({"principal": [[-3, 1, 1]]}))
@@ -258,7 +264,40 @@ class TestErrors:
         code, out, err = run(capsys, argv, stdin_text=shadow,
                              monkeypatch=monkeypatch)
         assert code == 2 and out == ""
-        assert "holo" in json.loads(err)["error"]
+        assert json.loads(err)["error"] == \
+            "malformed expansion JSON: missing field 'holo'"
+
+    @pytest.mark.parametrize("field", ["N", "k", "rep", "holo", "nonholo",
+                                       "trunc"])
+    def test_expansion_missing_field(self, capsys, monkeypatch, field):
+        data = theta_series(1, 10).to_json()
+        del data[field]
+        code, out, err = run(capsys, ["apply", "--op", "sigma", "--c", "1"],
+                             stdin_text=json.dumps(data), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == \
+            f"malformed expansion JSON: missing field '{field}'"
+
+    @pytest.mark.parametrize("rep", ["foo", ["rho"], None])
+    def test_expansion_bad_rep(self, capsys, monkeypatch, rep):
+        data = theta_series(1, 10).to_json()
+        data["rep"] = rep
+        code, out, err = run(capsys, ["xi"], stdin_text=json.dumps(data),
+                             monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == \
+            f"malformed expansion JSON: rep must be 'rho' or 'dual', got {rep!r}"
+
+    @pytest.mark.parametrize("field", ["N", "orders"])
+    def test_divisor_missing_field(self, capsys, tmp_path, field):
+        data = eta_divisor(6, 1).to_json()
+        del data[field]
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["solve", "--N", "6", "--in", str(src)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == \
+            f"malformed divisor JSON: missing field '{field}'"
 
     def test_apply_missing_parameter(self, capsys, monkeypatch):
         theta_json = json.dumps(theta_series(1, 10).to_json())

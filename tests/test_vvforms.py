@@ -8,9 +8,10 @@ from math import gcd, isqrt
 import pytest
 from test_linalg import dense_solve, outcome
 
+from weilq import vvforms
 from weilq._linalg import InconsistentSystem
 from weilq.borcherds import borcherds_product
-from weilq.discform import divisor_classes
+from weilq.discform import atkin_lehner, divisor_classes
 from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
                            basis_m_half, decompose, formal_xi, is_supported,
                            random_supported, symmetry_sign, theta_series)
@@ -360,6 +361,28 @@ class TestApplyAut:
         apply_aut(f, 3).validate()
         x = formal_xi(random_supported(6, F(1, 2), 1, seed=12, trunc=60))
         apply_aut(x, 3).validate()
+
+    def test_one_involution_call_per_expansion(self, monkeypatch):
+        calls = []
+
+        def counting(N, c, gamma):
+            calls.append(gamma)
+            return atkin_lehner(N, c, gamma)
+
+        monkeypatch.setattr(vvforms, "atkin_lehner", counting)
+        th = theta_series(30, 200)
+        tw = apply_aut(th, 5)
+        assert len(calls) <= 1
+        assert tw.holo == {(n, atkin_lehner(30, 5, g)): v
+                           for (n, g), v in th.holo.items()}
+
+    @pytest.mark.parametrize("c", [2 ** 12, 5 ** 12])
+    def test_cost_does_not_grow_with_the_level(self, c):
+        N = 10 ** 12
+        f = VVExpansion(N, F(1, 2), 1, {(1, 1): F(3)}, {}, 10)
+        ((n, x), v), = apply_aut(f, c).holo.items()
+        assert (n, v) == (1, F(3)) and 0 <= x < 2 * N
+        assert (x + 1) % (2 * c) == 0 and (x - 1) % (2 * N // c) == 0
 
 
 class TestBasis:
