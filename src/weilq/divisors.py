@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from ._linalg import SingularSystem, solve_exact
+from ._linalg import SingularSystem, inverse_exact
 from .discform import divisor_classes, divisors, euler_phi, index_gamma0
 from .fracq import add_into, parse_fraction
 
@@ -50,20 +50,46 @@ def cusp_classes(N: int) -> list:
     return out
 
 
+@lru_cache(maxsize=256)
+def _order_table(N: int) -> dict:
+    """{d: {c: order}}: every eta_order(N, d, c) of level N, built once.
+
+    Rows d and N/d are one shared dict; the table never leaves this module.
+    """
+    divs = divisors(N)
+    table = {}
+    for d in divs[:(len(divs) + 1) // 2]:
+        e = N // d
+        table[d] = table[e] = {
+            c: Fraction(gcd(c, d) ** 2 * e + gcd(c, e) ** 2 * d,
+                        24 * c * gcd(c, N // c))
+            for c in divs}
+    return table
+
+
+def _order_row(N: int, d: int) -> dict:
+    """Row d of the order table; d must be a positive divisor of N."""
+    row = _order_table(N).get(d)
+    if row is None:
+        raise ValueError(f"d = {d!r} is not a positive divisor of N = {N}")
+    return row
+
+
 def eta_order(N: int, d: int, c: int) -> Fraction:
     """Vanishing order of eta(d z) eta((N/d) z) along the cusp class c.
 
     Ligozat's formula per eta factor delta:
     (N/24) * gcd(c, delta)^2 / (c * delta * gcd(c, N/c)), summed over the
     multiset {d, N/d}; over the common denominator 24 * c * gcd(c, N/c) the
-    two terms are gcd(c, d)^2 * (N/d) and gcd(c, N/d)^2 * d.  Orders are per
-    cusp; multiply by the orbit size when summing degrees.
+    two terms are gcd(c, d)^2 * (N/d) and gcd(c, N/d)^2 * d.  Every order
+    is positive.  Orders are per cusp; multiply by the orbit size when
+    summing degrees.  One table per level holds every order for d, c | N;
+    d and c must be positive divisors of N.
     """
-    if N % d or N % c:
-        raise ValueError("d and c must divide N")
-    e = N // d
-    return Fraction(gcd(c, d) ** 2 * e + gcd(c, e) ** 2 * d,
-                    24 * c * gcd(c, N // c))
+    order = _order_row(N, d).get(c)
+    if order is None:
+        raise ValueError(f"c = {c!r} is not a positive divisor of N = {N}")
+    return order
 
 
 @dataclass
@@ -132,13 +158,8 @@ class CuspDivisor:
 
 
 def eta_divisor(N: int, d: int) -> CuspDivisor:
-    """Full cusp divisor of eta(d z) eta((N/d) z)."""
-    orders = {}
-    for c in divisors(N):
-        v = eta_order(N, d, c)
-        if v:
-            orders[c] = v
-    return CuspDivisor(N, orders)
+    """Full cusp divisor of eta(d z) eta((N/d) z), copied from the order table."""
+    return CuspDivisor(N, dict(_order_row(N, d)))
 
 
 def fricke_image(div: CuspDivisor) -> CuspDivisor:
@@ -152,6 +173,27 @@ def cusp_space_dimension(N: int) -> int:
     return (sigma0 + (1 if isqrt(N) ** 2 == N else 0)) // 2
 
 
+@lru_cache(maxsize=256)
+def _matching_inverse(N: int) -> tuple:
+    """(rows, den): the inverse of the level-N matching matrix over den.
+
+    The matrix has entry eta_order(N, d, c) in row c and column d, both
+    running over divisor_classes(N).  A singular matrix raises
+    MatchingError, which lru_cache does not keep, so every call sees it.
+    """
+    classes = divisor_classes(N)
+    table = _order_table(N)
+    rows = [[table[d][c] for d in classes] for c in classes]
+    try:
+        inv, den = inverse_exact(rows)
+    except SingularSystem as exc:
+        raise MatchingError(
+            f"matching matrix at level {N} is singular; this contradicts "
+            f"the cusp-matching theorem ({exc})"
+        )
+    return tuple(map(tuple, inv)), den
+
+
 def solve_cusp_matching(N: int, target: CuspDivisor):
     """Coefficients x_d with sum_d x_d * eta_divisor(N, d) = target.
 
@@ -159,27 +201,27 @@ def solve_cusp_matching(N: int, target: CuspDivisor):
     Fricke classes of cusps, giving a square system of size
     cusp_space_dimension(N).  The target must be Fricke-invariant; a
     singular matrix would contradict the matching theorem and is reported
-    as such.
+    as such.  The matrix is inverted once per level, so a solve is one
+    integer matrix-vector product and one Fraction per unknown.
     """
     if target.N != N:
         raise ValueError("target divisor has the wrong level")
-    for c in divisors(N):
-        if target.order(c) != target.order(N // c):
+    # d ~ N/d and c ~ N/c have the same representatives, and the smallest
+    # c whose order differs from that at N/c is one of them
+    classes = divisor_classes(N)
+    order = target.orders.get
+    for c in classes:
+        if order(c, 0) != order(N // c, 0):
             raise ValueError(
                 f"target is not Fricke-invariant: orders at c={c} and "
                 f"c={N // c} differ"
             )
-    # d ~ N/d and c ~ N/c have the same representatives
-    classes = divisor_classes(N)
-    rows = [[eta_order(N, d, c) for d in classes] for c in classes]
-    rhs = [target.order(c) for c in classes]
-    try:
-        return solve_exact(rows, rhs)
-    except SingularSystem as exc:
-        raise MatchingError(
-            f"matching matrix at level {N} is singular; this contradicts "
-            f"the cusp-matching theorem ({exc})"
-        )
+    inv, den = _matching_inverse(N)
+    ratios = [order(c, 0).as_integer_ratio() for c in classes]
+    scale = lcm(*[q for _, q in ratios])
+    b = [p * (scale // q) for p, q in ratios]
+    den *= scale
+    return [Fraction(sum([a * v for a, v in zip(row, b)]), den) for row in inv]
 
 
 # ----- binary quadratic forms and CM-point degrees ----------------------

@@ -227,7 +227,7 @@ class VVExpansion:
         tables = ({"r": self.holo} if self.radical
                   else {"holo": self.holo, "nonholo": self.nonholo})
         for name, table in tables.items():
-            data[name] = [[n, g, str(table[(n, g)])] for n, g in sorted(table)]
+            data[name] = [[n, g, str(v)] for (n, g), v in sorted(table.items())]
         data["trunc"] = self.trunc
         return data
 

@@ -1,12 +1,16 @@
 """Cusp classes, eta-product divisors, matching solver, CM-point degrees."""
 
+import random
 from fractions import Fraction as F
 from math import gcd, isqrt
 
 import pytest
 
+import weilq.divisors as divisors_module
+from weilq._linalg import solve_exact
 from weilq.discform import divisor_classes, divisors, euler_phi, index_gamma0
-from weilq.divisors import (CuspDivisor, _coset_reps, _degrees_by_root,
+from weilq.divisors import (CuspDivisor, MatchingError, _coset_reps,
+                            _degrees_by_root, _matching_inverse, _order_table,
                             _p1_reps, _proj_automorph_order, cusp_classes,
                             cusp_space_dimension, eta_divisor, eta_order,
                             fricke_image, heegner_degree, reduced_forms,
@@ -112,6 +116,24 @@ class TestEtaOrders:
             eta_order(6, 4, 1)
         with pytest.raises(ValueError):
             eta_order(6, 2, 5)
+        for d, c in ((-2, 6), (0, 1), (1, 0), (2, -6), (-1, -1), (12, 1)):
+            with pytest.raises(ValueError, match="positive divisor"):
+                eta_order(6, d, c)
+        for d in (-2, -1, 0, 4, 12):
+            with pytest.raises(ValueError, match="positive divisor"):
+                eta_divisor(6, d)
+
+    def test_ligozat_per_factor_sum(self):
+        # Ligozat's sum term by term over delta in {d, N/d}, not the
+        # combined numerator the order table is built from
+        for N in range(1, 201):
+            for d in divisors(N):
+                for c in divisors(N):
+                    want = sum(F(N * gcd(c, delta) ** 2,
+                                 24 * c * delta * gcd(c, N // c))
+                               for delta in (d, N // d))
+                    got = eta_order(N, d, c)
+                    assert got == want and got > 0, (N, d, c)
 
 
 class TestCuspDivisor:
@@ -180,6 +202,61 @@ class TestMatching:
         for v, d in zip(x, divisor_classes(N)):
             rebuilt = rebuilt + eta_divisor(N, d).scaled(v)
         assert rebuilt.orders == target.orders
+
+    def test_agrees_with_solve_exact(self):
+        # the cached inverse against one elimination of the same rows
+        rng = random.Random(15)
+        for N in range(1, 301):
+            classes = divisor_classes(N)
+            rows = [[eta_order(N, d, c) for d in classes] for c in classes]
+            for _ in range(2):
+                orders = {}
+                for c in classes:
+                    v = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                    if rng.random() < 0.8:
+                        orders[c] = orders[N // c] = v
+                target = CuspDivisor(N, orders)
+                rhs = [target.order(c) for c in classes]
+                x = solve_cusp_matching(N, target)
+                assert x == solve_exact(rows, rhs), N
+                assert all(type(v) is F for v in x)
+
+    def test_singular_matrix_is_reported_on_every_call(self, monkeypatch):
+        def ones(N):
+            return {d: {c: F(1) for c in divisors(N)} for d in divisors(N)}
+
+        monkeypatch.setattr(divisors_module, "_order_table", ones)
+        _matching_inverse.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(MatchingError) as info:
+                    solve_cusp_matching(6, CuspDivisor.zero(6))
+                assert str(info.value) == (
+                    "matching matrix at level 6 is singular; this contradicts "
+                    "the cusp-matching theorem (underdetermined system)")
+            assert _matching_inverse.cache_info().currsize == 0
+        finally:
+            _matching_inverse.cache_clear()
+
+
+class TestCaches:
+    def test_no_shared_mutable_state(self):
+        div = eta_divisor(12, 2)
+        want = dict(div.orders)
+        div.orders[1] = F(99)
+        del div.orders[12]
+        assert eta_divisor(12, 2).orders == want
+        assert eta_divisor(12, 6).orders == want
+        assert eta_order(12, 2, 1) == want[1]
+        x = solve_cusp_matching(12, eta_divisor(12, 2))
+        assert x == [F(0), F(1), F(0)]
+        x[1] = F(7)
+        x.append(F(1))
+        assert solve_cusp_matching(12, eta_divisor(12, 2)) == [F(0), F(1), F(0)]
+
+    def test_caches_are_bounded(self):
+        for cached in (_order_table, _matching_inverse):
+            assert cached.cache_info().maxsize is not None
 
 
 class TestReducedForms:

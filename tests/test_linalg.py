@@ -1,12 +1,13 @@
-"""Exact solver: the integer elimination against dense Fraction Gauss-Jordan."""
+"""Exact solver and inverse: the integer elimination against dense Fraction Gauss-Jordan."""
 
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
-from weilq._linalg import InconsistentSystem, SingularSystem, _clear, solve_exact
+from weilq._linalg import (InconsistentSystem, SingularSystem, _clear,
+                           inverse_exact, solve_exact)
 
 
 def dense_solve(rows, rhs):
@@ -303,3 +304,112 @@ class TestFailureReport:
             solve_exact([], [])
         with pytest.raises(ValueError, match="sizes differ"):
             solve_exact([[1]], [1, 2])
+
+
+def checked_inverse(rows):
+    """inverse_exact(rows), checked against M * inv = inv * M = den * I.
+
+    Also checks that the input comes back unchanged and that the result is
+    integers over a positive denominator with no factor common to all.
+    """
+    before = [list(r) for r in rows]
+    types = [[type(v) for v in r] for r in rows]
+    inv, den = inverse_exact(rows)
+    assert rows == before and [[type(v) for v in r] for r in rows] == types
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for row in inv for v in row)
+    assert gcd(den, *[v for row in inv for v in row]) == 1
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            want = den if i == j else 0
+            assert sum((F(rows[i][k]) * inv[k][j] for k in range(n)), F(0)) == want
+            assert sum((inv[i][k] * F(rows[k][j]) for k in range(n)), F(0)) == want
+    return inv, den
+
+
+def is_singular(rows):
+    return outcome(dense_solve, rows, [0] * len(rows)) is SingularSystem
+
+
+class TestInverse:
+    def test_small_examples(self):
+        assert checked_inverse([[2]]) == ([[1]], 2)
+        assert checked_inverse([[F(1, 3)]]) == ([[3]], 1)
+        assert checked_inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+        assert checked_inverse([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+        assert checked_inverse([[-2, 0], [0, 4]]) == ([[-2, 0], [0, 1]], 4)
+
+    def test_hilbert_matrix(self):
+        # the inverse of the Hilbert matrix has integer entries, given in
+        # closed form by binomials (1-based indices i, j)
+        n = 8
+        rows = [[F(1, i + j + 1) for j in range(n)] for i in range(n)]
+        inv, den = checked_inverse(rows)
+        assert den == 1
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert inv[i - 1][j - 1] == ((-1) ** (i + j) * (i + j - 1)
+                                             * comb(n + i - 1, n - j)
+                                             * comb(n + j - 1, n - i)
+                                             * comb(i + j - 2, i - 1) ** 2)
+
+    def test_random_integer_matrices(self):
+        solved = singular = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            density = rng.choice((0.3, 0.6, 1.0))
+            rows = [[rng.randint(-9, 9) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(n)]
+            if is_singular(rows):
+                with pytest.raises(SingularSystem):
+                    inverse_exact(rows)
+                singular += 1
+            else:
+                checked_inverse(rows)
+                solved += 1
+        assert solved > 60 and singular > 5
+
+    def test_random_fraction_matrices(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            rows = [[F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                     for _ in range(n)] for _ in range(n)]
+            checked_inverse(rows)
+
+    def test_agrees_with_solve_exact(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            rows, _ = seeded_system("square", 4000 + seed)
+            if is_singular(rows):
+                continue
+            inv, den = inverse_exact(rows)
+            b = [entry(rng, 1.0) for _ in rows]
+            x = [sum((v * bj for v, bj in zip(row, b)), F(0)) / den for row in inv]
+            assert solve_exact(rows, b) == x, seed
+
+    def test_rank_deficient(self):
+        for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]],
+                     [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+                     [[F(1, 2), F(1, 3)], [3, 2]]):
+            with pytest.raises(SingularSystem, match="underdetermined"):
+                inverse_exact(rows)
+        count = 0
+        for seed in range(60):
+            rows, _ = seeded_system("rank-deficient", 6000 + seed)
+            rows = rows[:len(rows[0])]
+            if len(rows) == len(rows[0]):
+                with pytest.raises(SingularSystem):
+                    inverse_exact(rows)
+                count += 1
+        assert count > 30
+
+    def test_shape_errors(self):
+        with pytest.raises(SingularSystem, match="empty"):
+            inverse_exact([])
+        with pytest.raises(ValueError, match="square"):
+            inverse_exact([[1, 2]])
+        with pytest.raises(ValueError, match="square"):
+            inverse_exact([[1, 0], [0]])
