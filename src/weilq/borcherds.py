@@ -2,8 +2,11 @@
 
 The product q^rho * prod_{n>=1} (1 - q^n)^(t(n)) with t(n) the coefficient
 at slot (n^2, n) turns additive identities between expansions into
-multiplicative identities between classical eta products; everything here
-stays in exact rational arithmetic.
+multiplicative identities between classical eta products.  Both sides are
+expanded in ints by the kernel in ``jacobi`` (the Euler transform of the
+exponent table, and two pentagonal lists); Fractions begin where a list is
+wrapped into one ``FracSeries`` on the lattice of its leading exponent, and
+only a rational exponent table makes the kernel itself leave the ints.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from operator import mul
 
 from .discform import divisor_classes
-from .fracq import FracSeries, eta_series
+from .fracq import FracSeries
+from .jacobi import euler_transform, mul_trunc, pentagonal
 from .vvforms import VVExpansion, basis_m_half, decompose
 
 
@@ -34,7 +37,8 @@ def exponent_table(f: VVExpansion, nmax: int) -> dict:
             f"{nmax} (need at least {nmax * nmax})"
         )
     two_n = 2 * f.N
-    return {n: f.holo.get((n * n, n % two_n), Fraction(0)) for n in range(1, nmax + 1)}
+    zero = Fraction(0)
+    return {n: f.holo.get((n * n, n % two_n), zero) for n in range(1, nmax + 1)}
 
 
 def weyl_vector(f: VVExpansion, basis=None) -> Fraction:
@@ -84,50 +88,25 @@ class ProductResult:
         }
 
 
-def _euler_transform(table: dict, size: int) -> list:
-    """Coefficients of prod_n (1 - q^n)^table[n] at q^0, ..., q^(size - 1).
-
-    The log-derivative recurrence (Euler transform): with
-    b(k) = -sum_{n | k} n * table[n], p(0) = 1 and
-    m * p(m) = sum_{1 <= k <= m} b(k) * p(m - k).  With integer exponents
-    everything stays in ints and each division by m must be exact.
-    """
-    integral = all(c.denominator == 1 for c in table.values())
-    b = [0] * size
-    for n, c in table.items():
-        if c and n < size:
-            step = n * (c.numerator if integral else c)
-            for k in range(n, size, n):
-                b[k] -= step
-    p = [1]
-    for m in range(1, size):
-        s = sum(map(mul, b[1:m + 1], reversed(p)))
-        if integral:
-            s, rem = divmod(s, m)
-            if rem:
-                raise ArithmeticError(f"integer exponents gave a non-integer at q^{m}")
-            p.append(s)
-        else:
-            p.append(Fraction(s, m))
-    return p
-
-
 def borcherds_product(f: VVExpansion, weyl=None, prec=200) -> ProductResult:
     """Expand q^weyl * prod (1 - q^n)^(a(n^2, n)) through prec coefficients.
 
     The result is exact below exponent weyl + prec, which only the factors
     with n < prec reach, so f must be exact to index (ceil(prec) - 1)^2.
     When weyl is omitted it is computed from the theta-basis decomposition
-    of f; the weight reported is the coefficient at slot (0, 0).  The product is expanded by the Euler
-    transform, never multiplied out factor by factor.
+    of f; the weight reported is the coefficient at slot (0, 0).  The
+    product is expanded in ints by the Euler transform, never multiplied out
+    factor by factor, and wrapped into one FracSeries on the lattice of weyl.
     """
     prec = Fraction(prec)
     if prec < 1:
         raise ValueError("prec must be at least 1")
     weyl = weyl_vector(f) if weyl is None else Fraction(weyl)
     table = exponent_table(f, ceil(prec) - 1)
-    prod = FracSeries(1, dict(enumerate(_euler_transform(table, ceil(prec)))), prec)
-    expansion = FracSeries.monomial(weyl, 1, weyl + prec) * prod
+    den = weyl.denominator
+    coeffs = euler_transform(table, ceil(prec))
+    expansion = FracSeries(den, {weyl.numerator + den * n: c
+                                 for n, c in enumerate(coeffs)}, weyl + prec)
     result = ProductResult(f.holo.get((0, 0), Fraction(0)), weyl, expansion, table)
     result.validate()
     return result
@@ -136,10 +115,19 @@ def borcherds_product(f: VVExpansion, weyl=None, prec=200) -> ProductResult:
 def eta_product(N: int, d: int, prec) -> FracSeries:
     """q-expansion of eta(d z) * eta((N/d) z) for a divisor d of N.
 
-    Multiplies two pentagonal eta series: the side of the eta identities
-    that does not go through the Euler transform.
+    Multiplies the pentagonal lists of prod (1 - q^(d n)) and
+    prod (1 - q^((N/d) n)): the side of the eta identities that does not go
+    through the Euler transform.  The result is exact below
+    prec + min(d, N/d, 24 prec)/24, the window of the product of the two
+    eta series known below prec, and prec must be positive.
     """
     if d < 1 or N % d:
         raise ValueError(f"d = {d} must be a positive integer that divides {N}")
     prec = Fraction(prec)
-    return eta_series(d, prec) * eta_series(N // d, prec)
+    if prec <= 0:
+        raise ValueError("prec must be positive")
+    e = N // d
+    trunc = prec + min(Fraction(min(d, e), 24), prec)
+    size = max(ceil(trunc - Fraction(d + e, 24)), 0)
+    coeffs = mul_trunc(pentagonal(d, size), pentagonal(e, size), size)
+    return FracSeries(24, {d + e + 24 * n: c for n, c in enumerate(coeffs)}, trunc)

@@ -3,14 +3,20 @@
 A series is a finite map from lattice exponents to rational coefficients
 together with a truncation bound.  Everything is computed with
 ``fractions.Fraction``: there is no floating point anywhere in this package,
-so two series are equal exactly when their canonical forms coincide.
+so two series are equal exactly when their canonical forms coincide.  This
+is where Fractions begin: integer expansions (Euler transforms, pentagonal
+lists) are computed as int lists in ``jacobi`` and enter a series only
+through its constructor, which turns each stored coefficient into a
+Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Iterable, Tuple
+
+from .jacobi import pentagonal
 
 
 def _frac(x) -> Fraction:
@@ -250,24 +256,13 @@ class FracSeries:
 def eta_series(d: int, prec) -> FracSeries:
     """q-expansion of eta(d*z) = q^(d/24) * prod_{n>=1} (1 - q^(d*n)).
 
-    Computed through Euler's pentagonal number identity, so the support is
-    the sparse set d*(1 + 24*k(3k-1)/2)/24 with coefficients +-1.
+    Read off Euler's pentagonal number identity (``jacobi.pentagonal``), so
+    the support is the sparse set d*(1 + 24*k(3k-1)/2)/24 with coefficients
+    +-1.
     """
     if d < 1:
         raise ValueError("eta argument must be a positive integer")
     prec = _frac(prec)
-    terms = {}
-    bound = prec * 24
-    k = 0
-    while True:
-        hit = False
-        for kk in ((k, -k) if k else (0,)):
-            g = kk * (3 * kk - 1) // 2
-            e = d * (1 + 24 * g)
-            if e < bound:
-                terms[e] = Fraction(1) if kk % 2 == 0 else Fraction(-1)
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
-    return FracSeries(24, terms, prec)
+    size = max(ceil(prec - Fraction(d, 24)), 0)
+    return FracSeries(24, {d + 24 * n: c for n, c in enumerate(pentagonal(d, size))},
+                      prec)

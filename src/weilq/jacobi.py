@@ -1,0 +1,78 @@
+"""Integer Laurent q-series: the kernel under products and eta quotients.
+
+A series is a list of ints c[0], c[1], ..., c[size - 1] standing for
+sum c[n] q^(v + n), where the leading exponent v and the truncation
+v + size are kept by the caller.  The products of the paper have
+integral exponents, so they expand here in ints; Fractions enter when a
+caller wraps a list into a ``FracSeries``, or inside ``euler_transform``
+for a table with a rational exponent.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from operator import mul
+
+
+def euler_transform(table: dict, size: int) -> list:
+    """Coefficients of prod_n (1 - q^n)^table[n] at q^0, ..., q^(size - 1).
+
+    The log-derivative recurrence: with b(k) = -sum_{n | k} n * table[n],
+    p(0) = 1 and m * p(m) = sum_{1 <= k <= m} b(k) * p(m - k).  With
+    integer exponents everything stays in ints and each division by m must
+    be exact; a rational exponent turns the coefficients into Fractions.
+    """
+    integral = all(c.denominator == 1 for c in table.values())
+    b = [0] * size
+    for n, c in table.items():
+        if c and n < size:
+            step = n * (c.numerator if integral else c)
+            for k in range(n, size, n):
+                b[k] -= step
+    b1 = b[1:]
+    p = [1]
+    for m in range(1, size):
+        # map stops at the end of p: b(1) * p(m - 1) + ... + b(m) * p(0)
+        s = sum(map(mul, b1, reversed(p)))
+        if integral:
+            s, rem = divmod(s, m)
+            if rem:
+                raise ArithmeticError(f"integer exponents gave a non-integer at q^{m}")
+            p.append(s)
+        else:
+            p.append(Fraction(s, m))
+    return p[:size]
+
+
+def pentagonal(d: int, size: int) -> list:
+    """Coefficients of prod_{n>=1} (1 - q^(d n)) at q^0, ..., q^(size - 1).
+
+    Euler's pentagonal number theorem: (-1)^k at q^(d k (3k - 1)/2) for
+    every integer k, and zero elsewhere.
+    """
+    out = [0] * size
+    k = 0
+    while (e := d * k * (3 * k - 1) // 2) < size:
+        sign = -1 if k % 2 else 1
+        out[e] = sign
+        if k and e + d * k < size:  # the exponent of -k is that of k plus d k
+            out[e + d * k] = sign
+        k += 1
+    return out
+
+
+def mul_trunc(a: list, b: list, size: int) -> list:
+    """The first size coefficients of the product of two int lists.
+
+    Only the nonzero entries are paired, which suits sparse factors such as
+    the pentagonal lists.
+    """
+    out = [0] * size
+    right = [(j, y) for j, y in enumerate(b[:size]) if y]
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in right:
+                if i + j >= size:
+                    break
+                out[i + j] += x * y
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd, lcm
 
 from .borcherds import borcherds_product, eta_product, weyl_vector
 from .discform import divisor_classes, divisors, exact_divisors, index_gamma0
@@ -50,12 +50,23 @@ def _failure(witness, **where):
     return None if witness is None else {**where, "witness": witness}
 
 
+def _terms_below(s, M: int, bound: int) -> dict:
+    """The stored terms of s at lattice points e/M with e < bound."""
+    k = M // s.denom
+    return {e * k: c for e, c in s.terms.items() if e * k < bound}
+
+
 def _series_witness(got, expected):
-    """First exponent where two exact q-series differ, or None."""
-    diff = got - expected
-    if diff.is_zero():
+    """First exponent where two exact q-series differ, or None.
+
+    Both term tables are compared below the common truncation on the
+    common lattice; the difference series is built only on a mismatch.
+    """
+    M = lcm(got.denom, expected.denom)
+    bound = ceil(min(got.trunc, expected.trunc) * M)
+    if _terms_below(got, M, bound) == _terms_below(expected, M, bound):
         return None
-    e = diff.leading_exponent
+    e = (got - expected).leading_exponent
     return {"exponent": str(e), "expected": str(expected.coefficient(e)),
             "got": str(got.coefficient(e))}
 

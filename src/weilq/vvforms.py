@@ -271,11 +271,12 @@ def theta_series(N: int, trunc: int) -> VVExpansion:
         raise ValueError("level N must be a positive integer")
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    holo = {}
+    counts = {}
     two_n = 2 * N
     for m in range(-isqrt(trunc), isqrt(trunc) + 1):
         key = (m * m, m % two_n)
-        holo[key] = holo.get(key, Fraction(0)) + 1
+        counts[key] = counts.get(key, 0) + 1
+    holo = {key: Fraction(c) for key, c in counts.items()}
     return VVExpansion(N, Fraction(1, 2), 1, holo, {}, trunc)
 
 

@@ -272,3 +272,65 @@ class TestEtaIdentity:
             "exponent": "5/24", "expected": "1", "got": "0"}
         assert _series_witness(res.expansion,
                                eta_product(6, 1, F(7, 24) + 30)) is None
+
+
+class TestSeriesWitness:
+    """The window of _series_witness against the difference series."""
+
+    @staticmethod
+    def by_difference(got, expected):
+        # the witness as read off got - expected, built in every case
+        diff = got - expected
+        if diff.is_zero():
+            return None
+        e = diff.leading_exponent
+        return {"exponent": str(e), "expected": str(expected.coefficient(e)),
+                "got": str(got.coefficient(e))}
+
+    def test_difference_beyond_the_window_is_none(self):
+        a = FracSeries(24, {1: F(1), 25: F(-1), 49: F(2)}, F(2))
+        # equal below 2; the wider side differs at 2 and past it
+        b = FracSeries(24, {1: F(1), 25: F(-1), 48: F(7), 49: F(3)}, F(3))
+        assert _series_witness(a, b) is None
+        assert _series_witness(b, a) is None
+        assert self.by_difference(a, b) is None
+
+    def test_difference_at_the_window_edge_is_none(self):
+        a = FracSeries(12, {1: F(1)}, F(1, 2))
+        b = FracSeries(12, {1: F(1), 6: F(5)}, F(1))
+        assert _series_witness(a, b) is None
+
+    def test_difference_inside_the_window(self):
+        a = FracSeries(24, {1: F(1), 25: F(-1), 49: F(2)}, F(5))
+        b = FracSeries(24, {1: F(1), 25: F(-1, 3), 49: F(9)}, F(3))
+        want = {"exponent": "25/24", "expected": "-1/3", "got": "-1"}
+        assert _series_witness(a, b) == want == self.by_difference(a, b)
+        c = FracSeries(24, {1: F(1), 25: F(-1), 37: F(4)}, F(3))
+        assert _series_witness(a, c) == self.by_difference(a, c) == {
+            "exponent": "37/24", "expected": "4", "got": "0"}
+
+    def test_lattices_12_and_24(self):
+        # same q-series, one on (1/12)Z and one on (1/24)Z by a term past T
+        a = FracSeries(12, {1: F(1), 13: F(-2)}, F(2))
+        b = FracSeries(24, {2: F(1), 26: F(-2), 49: F(5)}, F(3))
+        assert (a.denom, b.denom) == (12, 24)
+        assert _series_witness(a, b) is None
+        assert _series_witness(b, a) is None
+        c = FracSeries(24, {2: F(1), 26: F(-2), 27: F(5)}, F(3))
+        assert _series_witness(a, c) == self.by_difference(a, c) == {
+            "exponent": "9/8", "expected": "5", "got": "0"}
+
+    def test_suite_witnesses_unchanged(self):
+        # c = d passes and c != d fails, as in the eta suite's cases
+        outcomes = []
+        for N in (6, 10):
+            for c in (1, 2):
+                weyl = F(c + N // c, 24)
+                res = borcherds_product(apply_aut(theta_series(N, 400), c),
+                                        weyl, 21)
+                for d in (1, 2):
+                    other = eta_product(N, d, weyl + 21)
+                    wit = _series_witness(res.expansion, other)
+                    assert wit == self.by_difference(res.expansion, other)
+                    outcomes.append(wit is None)
+        assert outcomes == [True, False, False, True] * 2

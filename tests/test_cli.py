@@ -6,15 +6,20 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
 import weilq
 import weilq.verify as verify
-from weilq.cli import main
+from weilq.borcherds import ProductResult, exponent_table
+from weilq.cli import _csv, _dump, main
+from weilq.discform import divisors, exact_divisors
 from weilq.divisors import eta_divisor
+from weilq.fracq import FracSeries, eta_series
 from weilq.heckeops import hecke_tp
-from weilq.vvforms import VVExpansion, theta_series
+from weilq.jacobi import euler_transform
+from weilq.vvforms import VVExpansion, apply_aut, theta_series
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -150,6 +155,48 @@ class TestOutputFormat:
         assert first == second
 
 
+class TestFractionRoute:
+    """eta and product print what the all-Fraction expansion prints."""
+
+    @staticmethod
+    def product_route(f, weyl, prec):
+        # monomial times the Euler transform as a FracSeries, as multiplied
+        # out before the integer kernel
+        table = exponent_table(f, ceil(prec) - 1)
+        prod = FracSeries(1, dict(enumerate(euler_transform(table, ceil(prec)))),
+                          prec)
+        expansion = FracSeries.monomial(weyl, 1, weyl + prec) * prod
+        result = ProductResult(f.holo.get((0, 0), F(0)), weyl, expansion, table)
+        csv = _csv(sorted(table.items()), header=("n", "exponent"))
+        return _dump(result.to_json()), csv
+
+    @pytest.mark.parametrize("N", [1, 2, 6, 12, 25, 576, 625, 2500])
+    def test_eta(self, capsys, N):
+        for d in [d for d in divisors(N) if d <= 50]:
+            for prec in (1, 2, 5, 40):
+                code, out, err = run(capsys, ["eta", "--N", str(N), "--d", str(d),
+                                              "--prec", str(prec)])
+                want = eta_series(d, F(prec)) * eta_series(N // d, F(prec))
+                assert (code, err) == (0, "")
+                assert out == _dump(want.to_json()), (N, d, prec)
+
+    @pytest.mark.parametrize("N", [1, 2, 6, 12, 25])
+    def test_product(self, capsys, monkeypatch, N):
+        for prec in (1, 2, 7, 30):
+            theta = theta_series(N, (prec - 1) ** 2)
+            for c in exact_divisors(N):
+                weyl = F(c + N // c, 24)
+                for f in (apply_aut(theta, c), apply_aut(theta, c).scaled(F(1, 2))):
+                    text = json.dumps(f.to_json())
+                    want_json, want_csv = self.product_route(f, weyl, prec)
+                    for fmt, want in (("json", want_json), ("csv", want_csv)):
+                        code, out, _ = run(
+                            capsys, ["product", "--prec", str(prec), "--weyl",
+                                     str(weyl), "--format", fmt],
+                            stdin_text=text, monkeypatch=monkeypatch)
+                        assert code == 0 and out == want, (N, prec, c, fmt)
+
+
 def test_cli_import_loads_no_process_pool():
     src = os.path.dirname(os.path.dirname(weilq.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -220,6 +267,13 @@ class TestErrors:
         code, out, err = run(capsys, ["eta", "--N", "6", "--d", "0"])
         assert code == 2 and out == ""
         assert "divide" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("prec", ["-5", "0"])
+    def test_eta_nonpositive_prec(self, capsys, prec):
+        code, out, err = run(capsys, ["eta", "--N", "6", "--d", "2",
+                                      "--prec", prec])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "prec must be positive"}
 
     @pytest.mark.parametrize("level", ["-3", "0"])
     def test_theta_nonpositive_level(self, capsys, level):

@@ -1,0 +1,135 @@
+"""The integer q-series kernel, each function against a Fraction-series route."""
+
+import random
+from fractions import Fraction as F
+from math import ceil
+
+import pytest
+
+from weilq.borcherds import eta_product
+from weilq.fracq import FracSeries, eta_series
+from weilq.jacobi import euler_transform, mul_trunc, pentagonal
+
+
+def factor_power(n, c, size):
+    """(1 - q^n)^c below q^size as a FracSeries, by the binomial series.
+
+    binom(c, j) (-1)^j at q^(n j): a finite sum for c a non-negative
+    integer, the generalized binomial series for any other rational c.
+    """
+    terms, coeff, j = {}, F(1), 0
+    while n * j < size and coeff:
+        terms[n * j] = coeff
+        coeff = -coeff * (c - j) / (j + 1)
+        j += 1
+    return FracSeries(1, terms, size)
+
+
+def factor_by_factor(table, size):
+    """prod (1 - q^n)^table[n] below q^size, one FracSeries product per factor."""
+    prod = FracSeries(1, {0: 1}, size)
+    for n, c in table.items():
+        prod = prod * factor_power(n, F(c), size)
+    return [prod.coefficient(m) for m in range(size)]
+
+
+class TestEulerTransform:
+    @pytest.mark.parametrize("table", [
+        {1: 1, 2: 2, 3: 1, 5: 2, 8: 1},            # positive
+        {1: -2, 3: -1, 4: -3},                      # negative
+        {1: 2, 2: -1, 4: 3, 7: -2, 9: 1},           # mixed signs
+        {1: F(1, 2), 2: F(-2, 3), 5: 3},            # rational
+        {2: F(5, 3), 3: F(-7, 4), 6: F(1, 2)},      # rational only
+    ])
+    def test_against_factor_by_factor_product(self, table):
+        size = 30
+        got = euler_transform({n: F(c) for n, c in table.items()}, size)
+        assert got == factor_by_factor(table, size)
+        integral = all(F(c).denominator == 1 for c in table.values())
+        assert all(type(x) is int for x in got) == integral
+
+    def test_theta_table_stays_integral(self):
+        # the exponents of the squared Euler product, eta(z)^2 / q^(1/12)
+        size = 50
+        got = euler_transform({n: F(2) for n in range(1, size)}, size)
+        assert all(type(x) is int for x in got)
+        assert got == factor_by_factor({n: 2 for n in range(1, size)}, size)
+
+    def test_factors_past_the_window_are_ignored(self):
+        assert euler_transform({3: F(4), 7: F(-5)}, 3) == [1, 0, 0]
+
+    def test_small_sizes(self):
+        assert euler_transform({1: F(1)}, 0) == []
+        assert euler_transform({1: F(1)}, 1) == [1]
+        assert euler_transform({}, 4) == [1, 0, 0, 0]
+
+
+class TestPentagonal:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 24])
+    def test_against_direct_product(self, d):
+        size = 120
+        direct = [1] + [0] * (size - 1)
+        for n in range(1, size):
+            if d * n < size:
+                direct = [direct[k] - (direct[k - d * n] if k >= d * n else 0)
+                          for k in range(size)]
+        assert pentagonal(d, size) == direct
+
+    def test_short_and_empty(self):
+        assert pentagonal(1, 0) == []
+        assert pentagonal(1, 1) == [1]
+        assert pentagonal(1, 3) == [1, -1, -1]
+        assert pentagonal(25, 24) == [1] + [0] * 23
+
+
+class TestMulTrunc:
+    def test_against_convolution(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            a = [rng.choice((0, 0, 1, -2, 5)) for _ in range(rng.randint(0, 15))]
+            b = [rng.choice((0, 3, -1)) for _ in range(rng.randint(0, 15))]
+            size = rng.randint(0, 25)
+            full = [0] * (len(a) + len(b))
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    full[i + j] += x * y
+            want = (full + [0] * size)[:size]
+            assert mul_trunc(a, b, size) == want
+
+
+class TestEtaProductOracle:
+    """eta_product against the product of two pentagonal eta series."""
+
+    GRID = [(1, 1), (2, 1), (6, 2), (6, 3), (12, 4), (25, 5), (30, 6),
+            (48, 1), (60, 12), (625, 25), (625, 1), (2500, 50)]
+    PRECS = [F(1, 24), F(1, 3), F(1), F(7, 6), F(5, 2), F(10), F(61, 4), F(40)]
+
+    @pytest.mark.parametrize("N,d", GRID)
+    def test_equals_eta_series_product(self, N, d):
+        e = N // d
+        for T in self.PRECS:
+            want = eta_series(d, T) * eta_series(e, T)
+            got = eta_product(N, d, T)
+            assert got == want, (N, d, T)
+            assert got.trunc == T + min(F(min(d, e), 24), T)
+
+    def test_both_factors_empty(self):
+        # eta(25z) and eta(25z) start at q^(25/24), past T = 1
+        assert eta_series(25, 1).is_zero()
+        got = eta_product(625, 25, 1)
+        assert got.is_zero() and got.trunc == 2
+        assert got == eta_series(25, 1) * eta_series(25, 1)
+
+    @pytest.mark.parametrize("prec", [0, -5, F(-1, 3)])
+    def test_nonpositive_prec_rejected(self, prec):
+        with pytest.raises(ValueError, match="prec must be positive"):
+            eta_product(6, 2, prec)
+
+    def test_window_is_sound(self):
+        # every coefficient below the window is the true one: compare with
+        # the same product known to a much larger precision
+        for N, d in self.GRID:
+            for T in self.PRECS:
+                got = eta_product(N, d, T)
+                wide = eta_product(N, d, ceil(got.trunc) + 30).truncate(got.trunc)
+                assert got == wide, (N, d, T)
