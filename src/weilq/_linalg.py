@@ -8,9 +8,10 @@ integers and an exact repeat is skipped, since the systems solved here have
 a dozen or so columns and up to a few thousand sparse rows, most of them
 repeats; each pivot row is subtracted through its nonzero entries only.
 
-``solve_exact`` sweeps [M | b] for one right-hand side.  ``inverse_exact``
-sweeps [M | I] once, so a square system that recurs with many right-hand
-sides (the cusp-matching matrix of a level) is eliminated only once.
+``solve_exact`` is the one solve: it sweeps [M | B] once for all k columns
+of B, so a coefficient matrix that recurs with many right-hand sides is
+eliminated only once.  The cusp-matching matrix of a level is solved
+against the identity, and a theta basis against every target at once.
 """
 
 from __future__ import annotations
@@ -84,45 +85,29 @@ def _sweep(eqs, ncols: int) -> dict:
 
 
 def solve_exact(rows, rhs):
-    """Solve M x = b exactly; requires a unique solution.
+    """Solve M X = B exactly, every column of B in one sweep.
 
-    ``rows`` is a list of equal-length coefficient lists, ``rhs`` the right
-    hand sides; the solution is a list of Fractions.  Raises
-    InconsistentSystem when the equations contradict one another, naming the
-    first row r such that rows[:r + 1] have no common solution, and
+    ``rows`` holds the m rows of M and ``rhs`` the m rows of B, as
+    equal-length lists of ints or Fractions.  Returns (X, den): X[i][j] / den
+    is unknown i for right-hand side j, with X of ints, den > 0 and no factor
+    common to den and every entry of X; solving against the identity gives
+    the inverse.  Raises InconsistentSystem when some column has no
+    solution, naming the first row r such that rows[:r + 1] have none, and
     SingularSystem when the solution is not unique.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if not rows:
         raise SingularSystem("empty system")
-    ncols = len(rows[0])
-    pivots = _sweep(((*row, b) for row, b in zip(rows, rhs)), ncols)
+    ncols, k = len(rows[0]), len(rhs[0])
+    if any(len(row) != ncols for row in rows) or any(len(b) != k for b in rhs):
+        raise ValueError("ragged rows or right-hand sides")
+    pivots = _sweep(((*row, *b) for row, b in zip(rows, rhs)), ncols)
     if len(pivots) < ncols:
         raise SingularSystem("underdetermined system")
-    return [Fraction(pivots[c][-1], pivots[c][c]) for c in range(ncols)]
-
-
-def inverse_exact(rows):
-    """Inverse of a square matrix as (integer rows, common denominator).
-
-    ``rows`` is a list of n coefficient lists of length n, as ints or
-    Fractions; the result (inv, den) has inv[i][j] / den equal to the (i, j)
-    entry of the inverse, den > 0 and no factor common to den and every
-    entry.  Raises SingularSystem when the matrix is not invertible.
-    """
-    n = len(rows)
-    if n == 0:
-        raise SingularSystem("empty system")
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    try:
-        pivots = _sweep(((*row, *[int(i == j) for j in range(n)])
-                         for i, row in enumerate(rows)), n)
-    except InconsistentSystem:  # a row of M reduced to zero
-        raise SingularSystem("underdetermined system") from None
-    # row c of the inverse is pivots[c][n:] / pivots[c][c]
-    den = lcm(*[pivots[c][c] for c in range(n)])
-    inv = [[v * (den // pivots[c][c]) for v in pivots[c][n:]] for c in range(n)]
-    g = gcd(den, *[v for row in inv for v in row])
-    return [[v // g for v in row] for row in inv], den // g
+    # row i of the solution is pivots[i][ncols:] / pivots[i][i]; a pivot
+    # row is primitive and zero in every other pivot column, so no prime
+    # divides den and every entry
+    den = lcm(*[pivots[i][i] for i in range(ncols)])
+    return [[v * (den // pivots[i][i]) for v in pivots[i][ncols:]]
+            for i in range(ncols)], den

@@ -41,23 +41,25 @@ def exponent_table(f: VVExpansion, nmax: int) -> dict:
     return {n: f.holo.get((n * n, n % two_n), zero) for n in range(1, nmax + 1)}
 
 
-def weyl_vector(f: VVExpansion, basis=None) -> Fraction:
+def weyl_vector(f: VVExpansion) -> Fraction:
     """Leading exponent of the product, from the theta-basis coordinates.
 
-    Decomposes f as a combination of the basis elements indexed by divisor
-    classes {d, N/d} and returns sum x_d * (d + N/d)/24.  Only defined for
-    holomorphic f; a nonzero negative-index table needs external input.
+    Decomposes f in basis_m_half(N, 4N), whose elements are indexed by
+    divisor classes {d, N/d}, and returns sum x_d * (d + N/d)/24.  Only
+    defined for holomorphic f; a nonzero negative-index table needs external
+    input.
     """
     if f.nonholo:
         raise ValueError("Weyl vector requires external input for an expansion "
                          "with a non-holomorphic part")
-    if basis is None:
-        basis = basis_m_half(f.N, 4 * f.N)
-    coords = decompose(f, basis)
-    rho = Fraction(0)
-    for x, d in zip(coords, divisor_classes(f.N)):
-        rho += x * Fraction(d + f.N // d, 24)
-    return rho
+    [coords] = decompose([f], basis_m_half(f.N, 4 * f.N))
+    return _weyl_of_coordinates(f.N, coords)
+
+
+def _weyl_of_coordinates(N: int, coords: list) -> Fraction:
+    """sum x_d * (d + N/d)/24 for theta-basis coordinates x at level N."""
+    return sum((x * Fraction(d + N // d, 24)
+                for x, d in zip(coords, divisor_classes(N))), Fraction(0))
 
 
 @dataclass

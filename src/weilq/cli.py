@@ -229,14 +229,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         result = args.fn(args)
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        _emit(text, args.out)  # an unwritable --out is an OSError: exit 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2
-    if isinstance(result, tuple):
-        text, code = result
-    else:
-        text, code = result, 0
-    _emit(text, args.out)
     return code
 
 

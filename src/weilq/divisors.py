@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from ._linalg import SingularSystem, inverse_exact
+from ._linalg import InconsistentSystem, SingularSystem, solve_exact
 from .discform import divisor_classes, divisors, euler_phi, index_gamma0
 from .fracq import add_into, parse_fraction
 
@@ -178,15 +178,18 @@ def _matching_inverse(N: int) -> tuple:
     """(rows, den): the inverse of the level-N matching matrix over den.
 
     The matrix has entry eta_order(N, d, c) in row c and column d, both
-    running over divisor_classes(N).  A singular matrix raises
-    MatchingError, which lru_cache does not keep, so every call sees it.
+    running over divisor_classes(N), and is solved against the identity.  A
+    singular matrix raises MatchingError, which lru_cache does not keep, so
+    every call sees it.
     """
     classes = divisor_classes(N)
     table = _order_table(N)
     rows = [[table[d][c] for d in classes] for c in classes]
+    identity = [[int(c == d) for d in classes] for c in classes]
+    # a singular matrix leaves a zero row beside a nonzero row of I
     try:
-        inv, den = inverse_exact(rows)
-    except SingularSystem as exc:
+        inv, den = solve_exact(rows, identity)
+    except (SingularSystem, InconsistentSystem) as exc:
         raise MatchingError(
             f"matching matrix at level {N} is singular; this contradicts "
             f"the cusp-matching theorem ({exc})"

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .borcherds import borcherds_product, eta_product, weyl_vector
+from .borcherds import _weyl_of_coordinates, borcherds_product, eta_product
 from .discform import divisor_classes, divisors, exact_divisors, index_gamma0
 from .divisors import (CuspDivisor, cusp_space_dimension, eta_divisor,
                        eta_order, fricke_image, heegner_degree,
                        solve_cusp_matching, cusp_classes)
 from .heckeops import hecke_tp, level_u, level_v
-from .vvforms import (apply_aut, basis_m_half, formal_xi, random_supported,
-                      theta_series)
+from .vvforms import (DecompositionError, apply_aut, basis_m_half, decompose,
+                      formal_xi, random_supported, theta_series)
 
 
 @dataclass
@@ -271,13 +271,16 @@ def _degree_cases(N: int):
         at_inf = eta_order(N, d, N)
         yield None if at_inf == Fraction(d + N // d, 24) else {
             "N": N, "d": d, "check": "infinity-order", "got": str(at_inf)}
+    # the Weyl vectors of all basis elements come from one solve
     basis = basis_m_half(N, 4 * N)
-    for d, f in zip(divisor_classes(N), basis):
-        try:
-            w = weyl_vector(f, basis)
-        except ValueError as exc:
+    try:
+        coords = decompose(basis, basis)
+    except DecompositionError as exc:
+        for d in divisor_classes(N):
             yield {"N": N, "d": d, "check": "weyl", "error": str(exc)}
-            continue
+        return
+    for d, x in zip(divisor_classes(N), coords):
+        w = _weyl_of_coordinates(N, x)
         want = eta_order(N, d, N)
         yield None if w == want else {"N": N, "d": d, "check": "weyl",
                                       "expected": str(want), "got": str(w)}

@@ -321,45 +321,48 @@ def basis_m_half(N: int, trunc: int) -> list:
     return out
 
 
-def decompose(f: VVExpansion, basis: list) -> list:
-    """Exact coordinates of f in the given weight 1/2 basis.
+def decompose(targets: list, basis: list) -> list:
+    """Exact coordinates of each target in the given weight 1/2 basis.
 
     Solves one equation per slot with |n| <= window (the least truncation of
-    f and the basis) that f or some basis element stores, in sorted
-    (n, gamma) order; any other slot would be the equation 0 = 0.  The solve
-    returns only coordinates that satisfy every equation exactly, so a
-    successful return is a proof of membership up to truncation.  A failure
-    names the first slot at which the equations become inconsistent.  A slot
+    the targets and the basis) that a target or some basis element stores,
+    in sorted (n, gamma) order; any other slot would be the equation 0 = 0.
+    Every target is a right-hand side of one solve, which returns only
+    coordinates that satisfy every equation exactly, so a successful return
+    is a proof of membership up to truncation.  A failure names the first
+    slot at which the equations become inconsistent for some target.  A slot
     repeating an earlier equation, such as (n, -gamma) after (n, gamma),
     costs nothing, as solve_exact skips exact repeats.
     """
-    if f.weight != Fraction(1, 2) or f.rep != 1:
-        raise DecompositionError("decomposition applies to weight 1/2 expansions "
-                                 "for the representation itself")
-    if f.nonholo:
-        raise DecompositionError("expansion has a non-holomorphic part")
-    if f.radical:
-        raise DecompositionError("a radical shadow table is not a q-expansion")
+    for f in targets:
+        if f.weight != Fraction(1, 2) or f.rep != 1:
+            raise DecompositionError("decomposition applies to weight 1/2 "
+                                     "expansions for the representation itself")
+        if f.nonholo:
+            raise DecompositionError("expansion has a non-holomorphic part")
+        if f.radical:
+            raise DecompositionError("a radical shadow table is not a q-expansion")
     if not basis:
         raise DecompositionError("empty basis")
-    for b in basis:
-        if (b.N, b.weight, b.rep) != (f.N, f.weight, f.rep):
-            raise DecompositionError("basis element of mismatched type")
-    window = min([f.trunc] + [b.trunc for b in basis])
-    slots = sorted({k for table in [f.holo] + [b.holo for b in basis]
-                    for k in table if abs(k[0]) <= window})
+    forms = [*targets, *basis]
+    if len({(x.N, x.weight, x.rep) for x in forms}) > 1:
+        raise DecompositionError("basis element of mismatched type")
+    window = min([x.trunc for x in forms])
+    slots = sorted({k for x in forms for k in x.holo if abs(k[0]) <= window})
     zero = Fraction(0)
     rows = [[b.holo.get(k, zero) for b in basis] for k in slots]
-    rhs = [f.holo.get(k, zero) for k in slots]
+    rhs = [[f.holo.get(k, zero) for f in targets] for k in slots]
     try:
-        return solve_exact(rows, rhs)
+        x, den = solve_exact(rows, rhs)
     except SingularSystem as exc:
-        raise DecompositionError(f"theta basis is degenerate at level {f.N}: {exc}")
+        raise DecompositionError(f"theta basis is degenerate at level "
+                                 f"{basis[0].N}: {exc}")
     except InconsistentSystem as exc:
         raise DecompositionError(
             f"expansion is not in the span of the theta basis "
             f"(first inconsistent slot {slots[exc.row]})"
         )
+    return [[Fraction(row[j], den) for row in x] for j in range(len(targets))]
 
 
 def formal_xi(f: VVExpansion) -> VVExpansion:

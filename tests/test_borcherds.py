@@ -5,12 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
+import weilq.verify as verify
 from weilq.borcherds import (ProductResult, borcherds_product, eta_product,
                              exponent_table, weyl_vector)
+from weilq.discform import divisor_classes
 from weilq.fracq import FracSeries
-from weilq.verify import _eta_cases, _series_witness, run_suite
-from weilq.vvforms import (VVExpansion, apply_aut, basis_m_half,
-                           is_supported, random_supported, theta_series)
+from weilq.verify import _degree_cases, _eta_cases, _series_witness, run_suite
+from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
+                           basis_m_half, is_supported, random_supported,
+                           theta_series)
 
 
 def one_factor(n, e, prec):
@@ -63,13 +66,29 @@ class TestWeylVector:
     def test_linear(self):
         basis = basis_m_half(6, 24)
         f = basis[0].scaled(3) + basis[1].scaled(F(-1, 2))
-        assert weyl_vector(f, basis) == 3 * F(7, 24) + F(-1, 2) * F(5, 24)
+        assert weyl_vector(f) == 3 * F(7, 24) + F(-1, 2) * F(5, 24)
 
     def test_rejects_nonholomorphic(self):
         f = random_supported(2, F(1, 2), 1, seed=2, trunc=8)
         assert f.nonholo
         with pytest.raises(ValueError, match="external input"):
             weyl_vector(f)
+
+    def test_degree_suite_fails_every_class(self, monkeypatch):
+        # a failed solve is one failure per divisor class, so the case
+        # count of the suite does not move
+        def fail(targets, basis):
+            raise DecompositionError("forced")
+
+        for N in (1, 6, 12, 36):
+            count = len(list(_degree_cases(N)))
+            monkeypatch.setattr(verify, "decompose", fail)
+            cases = list(_degree_cases(N))
+            monkeypatch.undo()
+            assert len(cases) == count
+            assert [c for c in cases if c is not None] == [
+                {"N": N, "d": d, "check": "weyl", "error": "forced"}
+                for d in divisor_classes(N)]
 
 
 class TestBorcherdsProduct:

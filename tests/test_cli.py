@@ -375,6 +375,17 @@ class TestErrors:
         code, _, _ = run(capsys, ["xi", "--in", "/nonexistent/path.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["theta", "--N", "1", "--prec", "10"],
+                                      ["verify", "fricke", "--N-max", "3"]],
+                             ids=["table", "verify"])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        # an --out file that cannot be written is an input error, not a
+        # failed verification
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, [*argv, "--out", str(path)])
+        assert code == 2 and out == "" and not path.exists()
+        assert str(path) in json.loads(err)["error"]
+
     def test_no_arguments(self, capsys):
         assert run(capsys, [])[0] == 2
 

@@ -204,21 +204,25 @@ class TestMatching:
         assert rebuilt.orders == target.orders
 
     def test_agrees_with_solve_exact(self):
-        # the cached inverse against one elimination of the same rows
+        # the cached inverse against one elimination of the same rows with
+        # both targets of a level as its right-hand sides
         rng = random.Random(15)
         for N in range(1, 301):
             classes = divisor_classes(N)
             rows = [[eta_order(N, d, c) for d in classes] for c in classes]
+            targets = []
             for _ in range(2):
                 orders = {}
                 for c in classes:
                     v = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
                     if rng.random() < 0.8:
                         orders[c] = orders[N // c] = v
-                target = CuspDivisor(N, orders)
-                rhs = [target.order(c) for c in classes]
+                targets.append(CuspDivisor(N, orders))
+            sol, den = solve_exact(rows, [[t.order(c) for t in targets]
+                                          for c in classes])
+            for j, target in enumerate(targets):
                 x = solve_cusp_matching(N, target)
-                assert x == solve_exact(rows, rhs), N
+                assert x == [F(row[j], den) for row in sol], N
                 assert all(type(v) is F for v in x)
 
     def test_singular_matrix_is_reported_on_every_call(self, monkeypatch):
@@ -233,7 +237,8 @@ class TestMatching:
                     solve_cusp_matching(6, CuspDivisor.zero(6))
                 assert str(info.value) == (
                     "matching matrix at level 6 is singular; this contradicts "
-                    "the cusp-matching theorem (underdetermined system)")
+                    "the cusp-matching theorem (inconsistent linear system "
+                    "(first bad row 1))")
             assert _matching_inverse.cache_info().currsize == 0
         finally:
             _matching_inverse.cache_clear()

@@ -1,4 +1,4 @@
-"""Exact solver and inverse: the integer elimination against dense Fraction Gauss-Jordan."""
+"""Exact solver for one or many right-hand sides against dense Fraction Gauss-Jordan."""
 
 import random
 from fractions import Fraction as F
@@ -6,8 +6,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from weilq._linalg import (InconsistentSystem, SingularSystem, _clear,
-                           inverse_exact, solve_exact)
+from weilq._linalg import InconsistentSystem, SingularSystem, _clear, solve_exact
 
 
 def dense_solve(rows, rhs):
@@ -65,24 +64,65 @@ def reference(rows, rhs):
     return want
 
 
-def checked(rows, rhs):
-    """solve_exact's outcome, in the form of reference().
+def column(rhs):
+    """A vector of right-hand sides as the one column of a solve."""
+    return [[b] for b in rhs]
 
-    Also checks that the inputs come back unchanged and that every entry
-    of a solution is a Fraction.
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def solutions(rows, rhs):
+    """solve_exact(rows, rhs) as one list of Fractions per right-hand side.
+
+    Also checks the form of the result, integers over a positive
+    denominator with no factor common to all, and that the inputs come
+    back unchanged.
     """
-    before = ([list(r) for r in rows], list(rhs))
+    before = ([list(r) for r in rows], [list(b) for b in rhs])
+    types = [[type(v) for v in r] for r in rows + rhs]
     try:
-        got = solve_exact(rows, rhs)
-        assert all(type(v) is F for v in got)
+        x, den = solve_exact(rows, rhs)
+    finally:
+        assert (rows, rhs) == before
+        assert [[type(v) for v in r] for r in rows + rhs] == types
+    k = len(rhs[0])
+    assert type(den) is int and den > 0
+    assert len(x) == len(rows[0]) and all(len(r) == k for r in x)
+    assert all(type(v) is int for r in x for v in r)
+    assert gcd(den, *[v for r in x for v in r]) == 1
+    return [[F(r[j], den) for r in x] for j in range(k)]
+
+
+def reference_columns(rows, columns):
+    """reference() of several columns solved at once.
+
+    The sweep stops at the first row that contradicts the rows before it
+    for some column, so an inconsistent solve names the least first bad row
+    over the columns; otherwise all columns share the matrix's rank.
+    """
+    wants = [reference(rows, c) for c in columns]
+    bad = [w[1] for w in wants if type(w) is tuple]
+    if bad:
+        return InconsistentSystem, min(bad)
+    return SingularSystem if SingularSystem in wants else wants
+
+
+def checked_columns(rows, columns):
+    """The outcome of solving for every column at once, as reference_columns()."""
+    try:
+        return solutions(rows, [list(r) for r in zip(*columns)])
     except InconsistentSystem as exc:
-        got = InconsistentSystem, exc.row
+        return InconsistentSystem, exc.row
     except SingularSystem:
-        got = SingularSystem
-    assert (rows, rhs) == before
-    assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r]
-                                                    for r in before[0]]
-    return got
+        return SingularSystem
+
+
+def checked(rows, rhs):
+    """The outcome of solving for the one column rhs, in the form of reference()."""
+    got = checked_columns(rows, [rhs])
+    return got[0] if type(got) is list else got
 
 
 def entry(rng, density):
@@ -260,7 +300,7 @@ class TestAgainstDenseReference:
             rows += [[F(int(i == j)) for j in range(5)] for i in range(5)]
             rng.shuffle(rows)
             rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
-            assert solve_exact(rows, rhs) == x
+            assert solutions(rows, column(rhs)) == [x]
 
     def test_does_not_modify_its_input(self):
         for kind in KINDS:
@@ -269,8 +309,34 @@ class TestAgainstDenseReference:
             checked([[int(v) for v in row] for row in rows], [int(v) for v in rhs])
 
     def test_integer_input(self):
-        assert solve_exact([[2, 1], [1, -1]], [3, 0]) == [F(1), F(1)]
-        assert all(type(v) is F for v in solve_exact([[1, 0], [0, 1]], [0, 2]))
+        assert solve_exact([[2, 1], [1, -1]], [[3], [0]]) == ([[1], [1]], 1)
+        assert solve_exact([[2, 0], [0, 4]], [[1, 0], [2, 6]]) == ([[1, 0], [1, 3]], 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_several_columns_at_once(self, kind):
+        # k columns in one sweep against the reference, column by column;
+        # a column made inconsistent at some row names the least bad row
+        seen = set()
+        for seed in range(100):
+            rng = random.Random(8000 + seed)
+            rows, rhs = seeded_system(kind, 1000 * KINDS.index(kind) + seed)
+            columns = [rhs]
+            for _ in range(rng.randint(1, 4)):
+                x = [entry(rng, 0.7) for _ in rows[0]]
+                columns.append([sum((a * b for a, b in zip(row, x)), F(0))
+                                for row in rows])
+            if rng.random() < 0.3:
+                c = rng.choice(columns)
+                c[rng.randrange(len(c))] += 1
+            rng.shuffle(columns)
+            want = reference_columns(rows, columns)
+            assert checked_columns(rows, columns) == want, (kind, seed)
+            seen.add(want if want is SingularSystem
+                     else want[0] if type(want) is tuple else "solved")
+        every = {"solved", SingularSystem, InconsistentSystem}
+        assert seen == {"square": every, "overdetermined": every,
+                        "inconsistent": {InconsistentSystem},
+                        "rank-deficient": every - {"solved"}}[kind]
 
 
 class TestFailureReport:
@@ -279,7 +345,7 @@ class TestFailureReport:
         rows = [[0, 1], [1, 0], [1, 1], [0, 0], [2, 0], [0, 3]]
         rhs = [2, 1, 3, 0, 5, 7]
         with pytest.raises(InconsistentSystem) as info:
-            solve_exact(rows, rhs)
+            solve_exact(rows, column(rhs))
         assert info.value.row == 4
         assert "first bad row 4" in str(info.value)
 
@@ -287,39 +353,35 @@ class TestFailureReport:
         for seed in range(80):
             rows, rhs = seeded_system("inconsistent", 5000 + seed)
             with pytest.raises(InconsistentSystem) as info:
-                solve_exact(rows, rhs)
+                solve_exact(rows, column(rhs))
             r = info.value.row
             assert outcome(dense_solve, rows[:r + 1], rhs[:r + 1]) is InconsistentSystem
             assert outcome(dense_solve, rows[:r], rhs[:r]) is not InconsistentSystem
 
     def test_zero_equation_with_nonzero_side(self):
         with pytest.raises(InconsistentSystem) as info:
-            solve_exact([[1], [0]], [1, 1])
+            solve_exact([[1], [0]], [[1], [1]])
         assert info.value.row == 1
 
     def test_singular_and_empty(self):
         with pytest.raises(SingularSystem):
-            solve_exact([[1, 1], [2, 2]], [1, 2])
+            solve_exact([[1, 1], [2, 2]], [[1], [2]])
         with pytest.raises(SingularSystem, match="empty"):
             solve_exact([], [])
         with pytest.raises(ValueError, match="sizes differ"):
-            solve_exact([[1]], [1, 2])
+            solve_exact([[1]], [[1], [2]])
 
 
 def checked_inverse(rows):
-    """inverse_exact(rows), checked against M * inv = inv * M = den * I.
+    """solve_exact(rows, I), checked against M * inv = inv * M = den * I.
 
-    Also checks that the input comes back unchanged and that the result is
-    integers over a positive denominator with no factor common to all.
+    solutions() checks the form of the result and that the input comes
+    back unchanged.
     """
-    before = [list(r) for r in rows]
-    types = [[type(v) for v in r] for r in rows]
-    inv, den = inverse_exact(rows)
-    assert rows == before and [[type(v) for v in r] for r in rows] == types
-    assert type(den) is int and den > 0
-    assert all(type(v) is int for row in inv for v in row)
-    assert gcd(den, *[v for row in inv for v in row]) == 1
     n = len(rows)
+    inv, den = solve_exact(rows, identity(n))
+    assert [[F(v, den) for v in r] for r in inv] == [list(c) for c in zip(
+        *solutions(rows, identity(n)))]
     for i in range(n):
         for j in range(n):
             want = den if i == j else 0
@@ -332,7 +394,30 @@ def is_singular(rows):
     return outcome(dense_solve, rows, [0] * len(rows)) is SingularSystem
 
 
+def dependent(rows):
+    """Whether the given rows are linearly dependent."""
+    return outcome(dense_solve, [list(c) for c in zip(*rows)],
+                   [0] * len(rows[0])) is SingularSystem
+
+
+def check_singular(rows):
+    """A singular square matrix fails against I and against itself.
+
+    Against I the first row that depends on the rows before it reduces to
+    zero beside a nonzero row of I; M X = M is consistent (X = I) but has
+    no unique solution.
+    """
+    with pytest.raises(InconsistentSystem) as info:
+        solve_exact(rows, identity(len(rows)))
+    r = info.value.row
+    assert dependent(rows[:r + 1]) and (r == 0 or not dependent(rows[:r]))
+    with pytest.raises(SingularSystem, match="underdetermined"):
+        solve_exact(rows, rows)
+
+
 class TestInverse:
+    """solve_exact(M, I): the inverse of M over one common denominator."""
+
     def test_small_examples(self):
         assert checked_inverse([[2]]) == ([[1]], 2)
         assert checked_inverse([[F(1, 3)]]) == ([[3]], 1)
@@ -363,8 +448,7 @@ class TestInverse:
             rows = [[rng.randint(-9, 9) if rng.random() < density else 0
                      for _ in range(n)] for _ in range(n)]
             if is_singular(rows):
-                with pytest.raises(SingularSystem):
-                    inverse_exact(rows)
+                check_singular(rows)
                 singular += 1
             else:
                 checked_inverse(rows)
@@ -380,36 +464,37 @@ class TestInverse:
             checked_inverse(rows)
 
     def test_agrees_with_solve_exact(self):
+        # the inverse times b against one solve for the column b
         for seed in range(60):
             rng = random.Random(seed)
             rows, _ = seeded_system("square", 4000 + seed)
             if is_singular(rows):
                 continue
-            inv, den = inverse_exact(rows)
+            inv, den = solve_exact(rows, identity(len(rows)))
             b = [entry(rng, 1.0) for _ in rows]
             x = [sum((v * bj for v, bj in zip(row, b)), F(0)) / den for row in inv]
-            assert solve_exact(rows, b) == x, seed
+            assert solutions(rows, column(b)) == [x], seed
 
     def test_rank_deficient(self):
         for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]],
                      [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
                      [[F(1, 2), F(1, 3)], [3, 2]]):
-            with pytest.raises(SingularSystem, match="underdetermined"):
-                inverse_exact(rows)
+            check_singular(rows)
         count = 0
         for seed in range(60):
             rows, _ = seeded_system("rank-deficient", 6000 + seed)
             rows = rows[:len(rows[0])]
             if len(rows) == len(rows[0]):
-                with pytest.raises(SingularSystem):
-                    inverse_exact(rows)
+                check_singular(rows)
                 count += 1
         assert count > 30
 
     def test_shape_errors(self):
         with pytest.raises(SingularSystem, match="empty"):
-            inverse_exact([])
-        with pytest.raises(ValueError, match="square"):
-            inverse_exact([[1, 2]])
-        with pytest.raises(ValueError, match="square"):
-            inverse_exact([[1, 0], [0]])
+            solve_exact([], [])
+        with pytest.raises(ValueError, match="sizes differ"):
+            solve_exact([[1, 2]], identity(2))
+        with pytest.raises(ValueError, match="ragged"):
+            solve_exact([[1, 0], [0]], identity(2))
+        with pytest.raises(ValueError, match="ragged"):
+            solve_exact([[1, 0], [0, 1]], [[1, 0], [1]])

@@ -412,7 +412,7 @@ class TestBasis:
         for N in (1, 4, 6, 12, 16, 24, 36):
             basis = basis_m_half(N, 4 * N)
             for j, el in enumerate(basis):
-                coords = decompose(el, basis)
+                [coords] = decompose([el], basis)
                 assert coords == [F(int(i == j)) for i in range(len(basis))]
 
 
@@ -420,13 +420,13 @@ class TestDecompose:
     def test_round_trip_combination(self):
         basis = basis_m_half(6, 24)
         f = basis[0].scaled(2) + basis[1].scaled(3)
-        assert decompose(f, basis) == [F(2), F(3)]
+        assert decompose([f], basis) == [[F(2), F(3)]]
 
     def test_rational_combination(self):
         basis = basis_m_half(12, 48)
         f = (basis[0].scaled(F(1, 2)) + basis[1].scaled(F(-2, 3))
              + basis[2].scaled(5))
-        assert decompose(f, basis) == [F(1, 2), F(-2, 3), F(5)]
+        assert decompose([f], basis) == [[F(1, 2), F(-2, 3), F(5)]]
 
     def test_rejects_outside_span(self):
         # the alien slot is inside the reliable window but past n = 4N, where
@@ -437,7 +437,7 @@ class TestDecompose:
         with pytest.raises(DecompositionError, match=re.escape(
                 "not in the span of the theta basis (first inconsistent slot "
                 "(49, 1))")):
-            decompose(basis[0] + alien, basis)
+            decompose([basis[0] + alien], basis)
 
     def test_names_principal_part_slot(self):
         # theta series have no principal part, so a holo entry at n < 0 is
@@ -447,18 +447,18 @@ class TestDecompose:
                             {}, 24)
         with pytest.raises(DecompositionError, match=re.escape(
                 "first inconsistent slot (-23, 1)")):
-            decompose(basis[0] + polar, basis)
+            decompose([basis[0] + polar], basis)
 
     def test_rejects_inconsistent_pivot_rows(self):
         basis = basis_m_half(6, 24)
         lone = VVExpansion(6, F(1, 2), 1, {(0, 0): F(1)}, {}, 24)
         with pytest.raises(DecompositionError, match="not in the span"):
-            decompose(lone, basis)
+            decompose([lone], basis)
 
     def test_rejects_wrong_weight(self):
         f = random_supported(6, F(3, 2), 1, seed=3, trunc=24)
         with pytest.raises(DecompositionError):
-            decompose(f, basis_m_half(6, 24))
+            decompose([f], basis_m_half(6, 24))
 
     def test_rejects_nonholomorphic(self):
         f = random_supported(6, F(1, 2), 1, seed=3, trunc=24)
@@ -466,7 +466,7 @@ class TestDecompose:
             f.nonholo[(-23, 1)] = F(1)
             f.nonholo[(-23, 11)] = F(1)
         with pytest.raises(DecompositionError):
-            decompose(f, basis_m_half(6, 24))
+            decompose([f], basis_m_half(6, 24))
 
 
 def all_slots(N, window):
@@ -500,7 +500,7 @@ class TestDecomposeOracle:
         for N in range(1, 41):
             basis = basis_m_half(N, 4 * N)
             for el in basis:
-                assert decompose(el, basis) == all_slots_coordinates(el, basis)
+                assert decompose([el], basis) == [all_slots_coordinates(el, basis)]
 
     def test_combinations_match_all_slot_walk(self):
         rng = random.Random(6)
@@ -508,7 +508,7 @@ class TestDecomposeOracle:
             basis = basis_m_half(N, 4 * N + rng.randint(0, 30))
             for _ in range(3):
                 f, coords = seeded_combination(rng, basis)
-                got = decompose(f, basis)
+                [got] = decompose([f], basis)
                 assert got == coords == all_slots_coordinates(f, basis), N
 
     def test_garbage_at_unsupported_slots_is_caught(self):
@@ -526,10 +526,10 @@ class TestDecomposeOracle:
                                   window)
                 with pytest.raises(DecompositionError, match=re.escape(
                         f"first inconsistent slot {slot}")):
-                    decompose(bad, basis)
+                    decompose([bad], basis)
             beyond = {(window + 4 * N, 0): F(5)}
-            assert decompose(VVExpansion(N, f.weight, 1, {**f.holo, **beyond}, {},
-                                         window), basis) == coords
+            assert decompose([VVExpansion(N, f.weight, 1, {**f.holo, **beyond}, {},
+                                          window)], basis) == [coords]
 
     def test_names_first_inconsistent_slot(self):
         # the reference: the first slot of the all-slot walk at which the
@@ -548,7 +548,48 @@ class TestDecomposeOracle:
                     is InconsistentSystem)
                 with pytest.raises(DecompositionError, match=re.escape(
                         f"first inconsistent slot {first}")):
-                    decompose(bad, basis)
+                    decompose([bad], basis)
+
+    def test_several_targets_match_single_solves(self):
+        rng = random.Random(9)
+        for N in range(1, 41):
+            basis = basis_m_half(N, 4 * N + rng.randint(0, 30))
+            pairs = [seeded_combination(rng, basis) for _ in range(3)]
+            targets = [f for f, _ in pairs] + basis
+            want = [coords for _, coords in pairs] + [
+                [F(int(i == j)) for i in range(len(basis))] for j in range(len(basis))]
+            assert decompose(targets, basis) == want, N
+            assert [decompose([f], basis)[0] for f in targets] == want, N
+        assert decompose([], basis) == []
+
+    def test_several_targets_name_first_inconsistent_slot(self):
+        # any target outside the span fails the whole solve, at the least of
+        # the targets' own first inconsistent slots
+        rng = random.Random(10)
+        for N in (1, 2, 6, 12, 20):
+            basis = basis_m_half(N, 4 * N)
+            slots = all_slots(N, 4 * N)
+            targets = [seeded_combination(rng, basis)[0] for _ in range(4)]
+            firsts = []
+            for i in rng.sample(range(4), rng.randint(1, 3)):
+                holo = dict(targets[i].holo)
+                slot = rng.choice(slots)
+                holo[slot] = holo.get(slot, F(0)) + 1
+                targets[i] = VVExpansion(N, F(1, 2), 1, holo, {}, 4 * N)
+                firsts.append(next(k for j, k in enumerate(slots) if outcome(
+                    dense_solve, *slot_system(targets[i], basis, slots[:j + 1]))
+                    is InconsistentSystem))
+            with pytest.raises(DecompositionError, match=re.escape(
+                    f"first inconsistent slot {min(firsts)})")):
+                decompose(targets, basis)
+
+    def test_rejects_any_bad_target(self):
+        basis = basis_m_half(6, 24)
+        wrong = random_supported(6, F(3, 2), 1, seed=3, trunc=24)
+        with pytest.raises(DecompositionError, match="weight 1/2"):
+            decompose([basis[0], wrong], basis)
+        with pytest.raises(DecompositionError, match="mismatched"):
+            decompose([basis[0], theta_series(3, 24)], basis)
 
 
 class TestFormalXi:
@@ -589,7 +630,7 @@ class TestFormalXi:
         x = formal_xi(random_supported(3, F(3, 2), -1, seed=11, trunc=50))
         assert (x.weight, x.rep) == (F(1, 2), 1)
         with pytest.raises(DecompositionError, match="radical"):
-            decompose(x, basis_m_half(3, 50))
+            decompose([x], basis_m_half(3, 50))
         with pytest.raises(ValueError, match="radical"):
             borcherds_product(x, 0, 5)
 
