@@ -49,7 +49,7 @@ print("eta(z) =", head(eta, 6), " (pentagonal-number support, lattice 1/24)")
 banner(f"whole basis at level N = {N}")
 classes = divisor_classes(N)
 for f, d in zip(basis_m_half(N, PREC * PREC), classes):
-    lift = borcherds_product(f, None, PREC)
+    lift = borcherds_product(f, prec=PREC)
     other = eta_product(N, d, lift.weyl + PREC)
     same = (lift.expansion - other).truncate(lift.weyl + PREC).is_zero()
     print(f"class d = {d}: lift of weight {lift.weight}, leading exponent "

@@ -20,7 +20,7 @@ theta = theta_series(1, 3000)
 for p in (3, 5, 7):
     image = hecke_tp(theta, p)
     eigen = theta.scaled(1 + Fraction(1, p))
-    ok, _ = image.agrees_with(eigen, image.trunc)
+    ok, _ = image.agrees_with(eigen)
     print(f"theta | T_{p} == (1 + 1/{p}) theta through n <= {image.trunc}: "
           f"{ok}")
     assert ok
@@ -39,7 +39,7 @@ print(f"checked on the whole support of theta_6 (n <= {t6.trunc}); slots "
 banner("index spreading V_l sums over divisors")
 v2 = level_v(theta_series(1, 400), 2)
 doubled = theta_series(2, 400).scaled(2)
-ok, _ = v2.agrees_with(doubled, v2.trunc)
+ok, _ = v2.agrees_with(doubled)
 print(f"theta_1 | V_2 == 2 theta_2 through n <= {v2.trunc}: {ok}")
 print("constant slot of theta_1 | V_4:",
       level_v(theta_series(1, 400), 4).get(0, 0), " (= number of divisors)")
@@ -50,12 +50,12 @@ rng_form = random_supported(7, Fraction(3, 2), 1, seed=11, trunc=400)
 p, d, ell = 3, 2, 5
 left = level_u(level_v(rng_form, ell), d)
 right = level_v(level_u(rng_form, d), ell)
-ok, _ = left.agrees_with(right, min(left.trunc, right.trunc))
+ok, _ = left.agrees_with(right)
 print(f"(f | V_{ell}) | U_{d} == (f | U_{d}) | V_{ell}: {ok}")
 assert ok
 left = hecke_tp(level_u(rng_form, d), p)
 right = level_u(hecke_tp(rng_form, p), d)
-ok, _ = left.agrees_with(right, min(left.trunc, right.trunc))
+ok, _ = left.agrees_with(right)
 print(f"(f | U_{d}) | T_{p} == (f | T_{p}) | U_{d}: {ok}")
 assert ok
 
@@ -76,7 +76,7 @@ pairs = [
 for label, op, scale in pairs:
     lhs = formal_xi(op(harmonic))
     rhs = op(shadow).scaled(scale)
-    ok, _ = lhs.agrees_with(rhs, min(lhs.trunc, rhs.trunc))
+    ok, _ = lhs.agrees_with(rhs)
     extra = "" if scale == 1 else f"  (relative factor {1 / scale})"
     print(f"xi(f | {label}) == xi(f) | {label}{extra}: {ok}")
     assert ok

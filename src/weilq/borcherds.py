@@ -123,6 +123,8 @@ def eta_product(N: int, d: int, prec) -> FracSeries:
     prec + min(d, N/d, 24 prec)/24, the window of the product of the two
     eta series known below prec, and prec must be positive.
     """
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     if d < 1 or N % d:
         raise ValueError(f"d = {d} must be a positive integer that divides {N}")
     prec = Fraction(prec)

@@ -263,7 +263,6 @@ def _proj_automorph_order(a: int, b: int, c: int) -> int:
     return 1
 
 
-@lru_cache(maxsize=None)
 def _p1_reps(N: int):
     """Representatives of the projective line over Z/N, first-entry normalized.
 

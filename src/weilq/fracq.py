@@ -95,11 +95,9 @@ class FracSeries:
     # ----- constructors -------------------------------------------------
 
     @classmethod
-    def monomial(cls, exponent, coeff=1, trunc=None) -> "FracSeries":
+    def monomial(cls, exponent, coeff, trunc) -> "FracSeries":
         """The single term ``coeff * q^exponent`` known below ``trunc``."""
         exponent = _frac(exponent)
-        if trunc is None:
-            raise ValueError("monomial needs an explicit truncation bound")
         return cls(exponent.denominator, {exponent.numerator: coeff}, trunc)
 
     # ----- inspection ---------------------------------------------------
@@ -173,8 +171,6 @@ class FracSeries:
             # scalar multiple; truncation is unchanged
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            if other == 0:
-                return FracSeries(1, {}, self.trunc)
             return FracSeries(
                 self.denom, {e: c * other for e, c in self.terms.items()}, self.trunc
             )
@@ -241,16 +237,12 @@ class FracSeries:
     # ----- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
+        """The series as JSON, for output only: nothing reads it back."""
         return {
             "denom": self.denom,
             "trunc": str(self.trunc),
             "terms": [[e, str(self.terms[e])] for e in sorted(self.terms)],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FracSeries":
-        terms = {int(e): parse_fraction(c) for e, c in data["terms"]}
-        return cls(int(data["denom"]), terms, parse_fraction(data["trunc"]))
 
 
 def eta_series(d: int, prec) -> FracSeries:

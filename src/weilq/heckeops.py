@@ -8,10 +8,14 @@ index, the weight and the representation (the T_p factors, the V_l divisor
 weights, and the V_l root tables, which see N only mod l/a) is computed once
 and cached under keys that leave out N, so the caches stay small at any
 level; a call computes only what needs N.  Each function returns a fresh
-expansion whose truncation records the tight range on which the output is
-exact, except that level_u(f, 1) and level_v(f, 1) return f itself.  On
-radical (formal shadow) tables they are the operators
-transported through formal_xi.
+expansion whose truncation w records the tight range on which the output is
+exact, except that level_u(f, 1) and level_v(f, 1) return f itself; holo
+outputs are kept at -w <= n <= w and nonholo outputs at -w <= n <= -1.
+On radical (formal shadow) tables they are the operators transported
+through formal_xi: carrying the implicit sqrt(m/4N) through the index
+formulas turns T_p and V_l into the plain kernels at weight k - 1, up to a
+global power of p or l.  Such a table stores only n > 0, which every
+operator maps to n > 0, so the same windows serve it.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ def _tp_factors(p: int, rep: int, weight: Fraction, radical: bool) -> tuple:
 
     Returns (first, mid, last): the factor of a(p^2 n, p gamma), None for 1;
     mid[m % p] = (rep*m/p) p^(k-3/2), None where p divides m; and p^(2k-2),
-    at the kernel weight k (see _windows).  A radical table's global factor
-    p is folded into all three, so no pass over the output applies it.
+    at the kernel weight k (k - 1 on a radical table).  A radical table's
+    global factor p is folded into all three, so no pass over the output
+    applies it.
     Keys are typed, so a weight of another type that equals a Fraction is
     not served that Fraction's factors.
     """
@@ -132,9 +137,9 @@ def _v_factors(ell: int, weight: Fraction, radical: bool) -> tuple:
     """(a, a^2, ell/a, factor) for each divisor a of ell.
 
     The factor multiplies a's contributions: a^(k-1/2) at the kernel weight
-    k (see _windows), times the global ell^(3/2-k) of a radical table, and
-    None where that is 1.  None of it depends on N.  Keys are typed, as in
-    _tp_factors.
+    k (k - 1 on a radical table), times the global ell^(3/2-k) of a radical
+    table, and None where that is 1.  None of it depends on N.  Keys are
+    typed, as in _tp_factors.
     """
     kernel = weight - 1 if radical else weight
     a_exp = kernel - Fraction(1, 2)
@@ -181,17 +186,6 @@ def _v_table(table: dict, N: int, rep: int, factors: tuple, lo: int, hi: int) ->
 # ----- operators on expansions -----------------------------------------
 
 
-def _windows(f: VVExpansion, w: int) -> tuple:
-    """First index of the holo and nonholo output windows.
-
-    On a radical table, carrying the implicit sqrt(m/4N) through the index
-    formulas turns T_p and V_l into the plain kernels taken at weight k - 1
-    (up to a global power of p or l), and only outputs with 1 <= m <= w are
-    kept: the nonholo window starts at 0 and so is empty.
-    """
-    return (1, 0) if f.radical else (-w, -w)
-
-
 def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
     """Hecke operator T_p for a prime p coprime to 2N.
 
@@ -201,14 +195,13 @@ def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
     """
     _require_good_prime(p, f.N)
     w = f.trunc // (p * p)
-    lo, lo_nonholo = _windows(f, w)
     factors = _tp_factors(p, f.rep, f.weight, f.radical)
     return VVExpansion(
         f.N,
         f.weight,
         f.rep,
-        _tp_table(f.holo, f.N, p, factors, lo, w),
-        _tp_table(f.nonholo, f.N, p, factors, lo_nonholo, -1),
+        _tp_table(f.holo, f.N, p, factors, -w, w),
+        _tp_table(f.nonholo, f.N, p, factors, -w, -1),
         w,
         f.radical,
     )
@@ -247,14 +240,13 @@ def level_v(f: VVExpansion, ell: int) -> VVExpansion:
     if ell == 1:
         return f
     w = f.trunc
-    lo, lo_nonholo = _windows(f, w)
     factors = _v_factors(ell, f.weight, f.radical)
     return VVExpansion(
         f.N * ell,
         f.weight,
         f.rep,
-        _v_table(f.holo, f.N, f.rep, factors, lo, w),
-        _v_table(f.nonholo, f.N, f.rep, factors, lo_nonholo, -1),
+        _v_table(f.holo, f.N, f.rep, factors, -w, w),
+        _v_table(f.nonholo, f.N, f.rep, factors, -w, -1),
         w,
         f.radical,
     )

@@ -48,8 +48,10 @@ def pentagonal(d: int, size: int) -> list:
     """Coefficients of prod_{n>=1} (1 - q^(d n)) at q^0, ..., q^(size - 1).
 
     Euler's pentagonal number theorem: (-1)^k at q^(d k (3k - 1)/2) for
-    every integer k, and zero elsewhere.
+    every integer k, and zero elsewhere; d must be positive.
     """
+    if d < 1:
+        raise ValueError(f"d = {d} must be a positive integer")
     out = [0] * size
     k = 0
     while (e := d * k * (3 * k - 1) // 2) < size:

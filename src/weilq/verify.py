@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd
 
 from .borcherds import _weyl_of_coordinates, borcherds_product, eta_product
 from .discform import divisor_classes, divisors, exact_divisors, index_gamma0
@@ -50,21 +50,14 @@ def _failure(witness, **where):
     return None if witness is None else {**where, "witness": witness}
 
 
-def _terms_below(s, M: int, bound: int) -> dict:
-    """The stored terms of s at lattice points e/M with e < bound."""
-    k = M // s.denom
-    return {e * k: c for e, c in s.terms.items() if e * k < bound}
-
-
 def _series_witness(got, expected):
     """First exponent where two exact q-series differ, or None.
 
-    Both term tables are compared below the common truncation on the
-    common lattice; the difference series is built only on a mismatch.
+    The two series are compared truncated to their common window, where
+    both are exact; the difference series is built only on a mismatch.
     """
-    M = lcm(got.denom, expected.denom)
-    bound = ceil(min(got.trunc, expected.trunc) * M)
-    if _terms_below(got, M, bound) == _terms_below(expected, M, bound):
+    window = min(got.trunc, expected.trunc)
+    if got.truncate(window) == expected.truncate(window):
         return None
     e = (got - expected).leading_exponent
     return {"exponent": str(e), "expected": str(expected.coefficient(e)),
@@ -73,8 +66,7 @@ def _series_witness(got, expected):
 
 def _expansion_witness(got, expected):
     """First slot where two expansions differ on the common window, or None."""
-    window = min(got.trunc, expected.trunc)
-    ok, slot = got.agrees_with(expected, window)
+    ok, slot = got.agrees_with(expected)
     if ok:
         return None
     if slot[0] == "type":  # (N, k, rep, radical) of each side
@@ -82,7 +74,7 @@ def _expansion_witness(got, expected):
                 "expected": list(map(str, slot[2]))}
     part, key, va, vb = slot
     return {"part": part, "slot": list(key), "got": str(va),
-            "expected": str(vb), "window": window}
+            "expected": str(vb), "window": min(got.trunc, expected.trunc)}
 
 
 # ----- 1. eta-product identity ------------------------------------------

@@ -194,7 +194,7 @@ class VVExpansion:
             parts.append(out)
         return VVExpansion(self.N, self.weight, self.rep, *parts, w, self.radical)
 
-    def agrees_with(self, other, window=None):
+    def agrees_with(self, other):
         """Exact table comparison on the common reliable index range.
 
         Returns (True, None) or (False, witness): the first differing slot in
@@ -206,8 +206,6 @@ class VVExpansion:
         if self.holo == other.holo and self.nonholo == other.nonholo:
             return True, None
         w = min(self.trunc, other.trunc)
-        if window is not None:
-            w = min(w, window)
         for part in ("holo", "nonholo"):
             ta = {k: c for k, c in getattr(self, part).items() if abs(k[0]) <= w}
             tb = {k: c for k, c in getattr(other, part).items() if abs(k[0]) <= w}

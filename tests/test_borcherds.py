@@ -142,7 +142,10 @@ class TestBorcherdsProduct:
         assert data["weight"] == "1"
         assert data["weyl"] == "1/12"
         assert data["exponents"][0] == [1, "2"]
-        assert FracSeries.from_json(data["expansion"]) == res.expansion
+        exp = data["expansion"]
+        assert exp == res.expansion.to_json()
+        assert exp["trunc"] == "241/12" and exp["denom"] == 12
+        assert [(F(e, 12), F(c)) for e, c in exp["terms"]] == res.expansion.items()
 
 
 class TestEulerTransform:

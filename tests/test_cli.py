@@ -268,6 +268,13 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "divide" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("level,d", [("0", "1"), ("-6", "2")])
+    def test_eta_nonpositive_level(self, capsys, level, d):
+        # N = 0 would walk pentagonal exponents that are all 0; N = -6 a negative step
+        code, out, err = run(capsys, ["eta", "--N", level, "--d", d])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "N must be a positive integer"}
+
     @pytest.mark.parametrize("prec", ["-5", "0"])
     def test_eta_nonpositive_prec(self, capsys, prec):
         code, out, err = run(capsys, ["eta", "--N", "6", "--d", "2",

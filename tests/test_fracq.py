@@ -51,7 +51,7 @@ class TestInspection:
         assert m.coefficient(F(7, 24)) == 3
 
     def test_monomial_needs_trunc(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FracSeries.monomial(F(1, 2), 1)
 
     def test_leading_data(self):
@@ -243,19 +243,25 @@ class TestEtaSeries:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_canonical_content(self):
         a = series(24, {1: F(1), 25: F(-2, 3)}, F(99, 24))
-        data = a.to_json()
-        assert data["trunc"] == "33/8"
-        b = FracSeries.from_json(data)
-        assert a == b
+        assert a.to_json() == {"denom": 24, "trunc": "33/8",
+                               "terms": [[1, "1"], [25, "-2/3"]]}
+        # the lattice is reduced: q^(1/2) + 3 q^(3/2) sits on (1/2)Z
+        b = series(24, {12: F(1), 36: F(3)}, 2)
+        assert b.to_json() == {"denom": 2, "trunc": "2",
+                               "terms": [[1, "1"], [3, "3"]]}
+        assert series(5, {}, F(1, 3)).to_json() == {"denom": 1, "trunc": "1/3",
+                                                     "terms": []}
 
     def test_json_is_plain_data(self):
         import json
 
         a = eta_series(2, 5)
-        text = json.dumps(a.to_json())
-        assert FracSeries.from_json(json.loads(text)) == a
+        data = a.to_json()
+        assert json.loads(json.dumps(data)) == data
+        assert [(F(e, data["denom"]), F(c)) for e, c in data["terms"]] == a.items()
+        assert F(data["trunc"]) == a.trunc
 
 
 class TestParseFraction:

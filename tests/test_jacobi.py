@@ -81,6 +81,12 @@ class TestPentagonal:
         assert pentagonal(1, 3) == [1, -1, -1]
         assert pentagonal(25, 24) == [1] + [0] * 23
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_nonpositive_step(self, d):
+        # at d = 0 every exponent is 0, so the walk would never end
+        with pytest.raises(ValueError, match="positive"):
+            pentagonal(d, 5)
+
 
 class TestMulTrunc:
     def test_against_convolution(self):

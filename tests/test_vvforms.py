@@ -134,7 +134,8 @@ class TestExpansionBasics:
         ok, wit = a.agrees_with(c)
         assert not ok
         assert wit[1] == (25, 1)
-        ok, _ = a.agrees_with(c, window=24)
+        # a narrower window, set by a smaller trunc, stops below the edge
+        ok, _ = theta_series(1, 24).agrees_with(c)
         assert ok
 
     def test_agrees_with_first_of_several_differences(self):
@@ -150,7 +151,8 @@ class TestExpansionBasics:
         b = VVExpansion(3, a.weight, 1, dict(a.holo), dict(a.nonholo), 60)
         b.nonholo[nkey] = F(1, 7)
         assert a.agrees_with(b)[1] == ("nonholo", nkey, a.nonholo[nkey], F(1, 7))
-        assert a.agrees_with(b, window=abs(nkey[0]) - 1) == (True, None)
+        narrow = VVExpansion(3, a.weight, 1, a.holo, a.nonholo, abs(nkey[0]) - 1)
+        assert narrow.agrees_with(b) == (True, None)
 
     def test_agrees_with_stored_zero(self):
         th = theta_series(2, 30)
@@ -179,16 +181,20 @@ class TestExpansionBasics:
         a = random_supported(4, F(1, 2), 1, seed=24, trunc=40)
         extra = {(52, 2): F(7), (52, 6): F(7), (-44, 2): F(-2), (-44, 6): F(-2),
                  (49, 1): F(3), (49, 7): F(3)}  # supported slots past trunc
-        b = VVExpansion(4, a.weight, 1, {**a.holo, **extra}, dict(a.nonholo), 40)
-        c = VVExpansion(4, a.weight, 1, {**a.holo, **extra}, dict(a.nonholo), 40)
-        for window in (None, 40, 3):
-            assert b.agrees_with(c, window) == (True, None)
+
+        def with_trunc(trunc):  # the same raw tables on a narrower window
+            return VVExpansion(4, a.weight, 1, {**a.holo, **extra},
+                               dict(a.nonholo), trunc)
+
+        b, c = with_trunc(40), with_trunc(40)
+        for left in (b, with_trunc(3)):
+            assert left.agrees_with(c) == (True, None)
         c.holo[(52, 2)] = c.holo[(52, 6)] = F(8)  # now they differ only beyond
-        for window in (None, 40, 3):
-            assert b.agrees_with(c, window) == (True, None)
+        for left in (b, with_trunc(3)):
+            assert left.agrees_with(c) == (True, None)
         c.holo[(36, 2)] = c.holo[(36, 6)] = a.holo.get((36, 2), 0) + 1
         assert b.agrees_with(c)[1][:2] == ("holo", (36, 2))
-        assert b.agrees_with(c, window=35) == (True, None)
+        assert with_trunc(35).agrees_with(c) == (True, None)
 
     def test_type_mismatch_witness(self):
         from weilq.verify import _expansion_witness
@@ -670,16 +676,21 @@ def reference_random_supported(N, weight, rep, seed, trunc):
 
 class TestRandomSupported:
     def test_matches_reference_draws(self):
-        cases = [(1, F(1, 2), 1), (1, F(5, 2), -1), (2, F(3, 2), 1),
-                 (3, F(3, 2), -1), (4, F(1, 2), -1), (6, F(-1, 2), 1),
-                 (7, F(5, 2), 1), (12, F(3, 2), 1)]
+        picked = [(1, F(1, 2), 1), (1, F(5, 2), -1), (2, F(3, 2), 1),
+                  (3, F(3, 2), -1), (4, F(1, 2), -1), (6, F(-1, 2), 1),
+                  (7, F(5, 2), 1), (12, F(3, 2), 1)]
+        cases = [(N, k, rep, seed, 60) for N, k, rep in picked for seed in (0, 7, 31)]
+        # every level to 12, weight and representation, at trunc 80
+        cases += [(N, k, rep, seed, 80) for N in range(1, 13)
+                  for k in (F(-1, 2), F(1, 2), F(3, 2), F(5, 2))
+                  for rep in (1, -1) for seed in (0, 1, 8201)]
         seen = set()  # (eps, whether a self-paired slot is stored)
-        for N, k, rep in cases:
-            for seed in (0, 7, 31):
-                f = random_supported(N, k, rep, seed=seed, trunc=60)
-                assert (f.holo, f.nonholo) == reference_random_supported(N, k, rep, seed, 60)
-                assert all(type(v) is F for v in [*f.holo.values(), *f.nonholo.values()])
-                seen.add((f.epsilon, any(g in (0, N) for _, g in f.holo)))
+        for N, k, rep, seed, trunc in cases:
+            f = random_supported(N, k, rep, seed=seed, trunc=trunc)
+            want = reference_random_supported(N, k, rep, seed, trunc)
+            assert (f.holo, f.nonholo) == want
+            assert all(type(v) is F for v in [*f.holo.values(), *f.nonholo.values()])
+            seen.add((f.epsilon, any(g in (0, N) for _, g in f.holo)))
         assert seen == {(1, True), (-1, False)}
 
     def test_deterministic(self):
