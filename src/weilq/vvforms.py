@@ -51,58 +51,27 @@ def _check_frame(N: int, trunc: int) -> None:
         raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, trunc = {trunc}")
 
 
-def _clean_table(N: int, rep: int, eps: int, rows, lo: int, hi: int) -> dict:
-    """Read [n, gamma, value] rows into a table with gamma canonical mod 2N.
+def _read_table(two_n: int, rows) -> dict:
+    """Read [n, gamma, value] rows into a table with gamma reduced mod 2N.
 
-    Indices must be JSON integers; zero values are dropped.  Stored entries
-    need lo <= n <= hi, the support rule and the symmetry a(n, -gamma) =
-    eps * a(n, gamma), and no slot may be given twice.  Each pair is checked
-    in the same walk, when its second entry is read; an entry whose partner
-    never came is reported after it.
+    Reading needs integer indices, rational values and no slot given twice;
+    zero values are dropped.  The table rules are VVExpansion.validate()'s.
     """
-    two_n = 2 * N
-    parsed = {}  # value as read -> None for zero, else (c, eps * c)
+    parsed = {}  # value as read -> Fraction, or None for zero; values repeat
     out = {}
-    unpaired = 0
     for n, gamma, value in rows:
         if type(n) is not int or type(gamma) is not int:
             raise ValueError(f"entry at (n={n!r}, gamma={gamma!r}) has a "
                              f"non-integer index")
         if value not in parsed:
-            c = parse_fraction(value)
-            parsed[value] = (c, eps * c) if c else None
-        entry = parsed[value]
-        if entry is None:
+            parsed[value] = parse_fraction(value) or None
+        c = parsed[value]
+        if c is None:
             continue
-        c, mirror = entry
-        gamma %= two_n
-        if not lo <= n <= hi:
-            raise ValueError(f"entry at (n={n}, gamma={gamma}) is outside [{lo}, {hi}]")
-        if not is_supported(N, rep, n, gamma):
-            raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the support rule")
-        key = (n, gamma)
+        key = (n, gamma % two_n)
         if key in out:
-            raise ValueError(f"slot (n={n}, gamma={gamma}) is given twice")
+            raise ValueError(f"slot (n={n}, gamma={key[1]}) is given twice")
         out[key] = c
-        partner = -gamma % two_n
-        if partner == gamma:
-            if eps < 0:
-                raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
-                                 f"symmetry: a self-paired slot must vanish")
-            continue
-        v = out.get((n, partner))
-        if v is None:
-            unpaired += 1
-        # compared as ints: Fraction's != costs about three times as much
-        elif v.numerator != mirror.numerator or v.denominator != mirror.denominator:
-            raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
-                             f"symmetry with gamma = {partner}")
-        else:
-            unpaired -= 1
-    if unpaired:
-        n, gamma = min(k for k in out if (k[0], -k[1] % two_n) not in out)
-        raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the symmetry: "
-                         f"gamma = {-gamma % two_n} is missing")
     return out
 
 
@@ -142,42 +111,67 @@ class VVExpansion:
         return table.get((n, gamma % (2 * self.N)), Fraction(0))
 
     def validate(self) -> None:
-        """Check the frame, support, symmetry, range and canonicity invariants."""
-        _check_frame(self.N, self.trunc)
+        """Raise ValueError unless every table rule holds; from_json ends here.
+
+        The rules: N >= 1, trunc >= 0, half-integral weight, holo n in
+        [-trunc, trunc], nonholo n in [-trunc, -1], no stored zero, gamma in
+        [0, 2N), the support rule and a(n, -gamma) = eps * a(n, gamma), so a
+        self-paired slot is empty when eps = -1.  A radical table stores only
+        holo entries, at n > 0.
+        """
+        N, rep, trunc = self.N, self.rep, self.trunc
+        _check_frame(N, trunc)
         eps = self.epsilon
-        two_n = 2 * self.N
-        for part, table in (("holo", self.holo), ("nonholo", self.nonholo)):
-            for (n, gamma), c in table.items():
-                if not c:
-                    raise ValueError(f"stored zero at {part}{(n, gamma)}")
-                if self.radical and part == "nonholo":
-                    raise ValueError(f"nonholo entry in radical table at {(n, gamma)}")
-                if self.radical and n <= 0:
+        lo, two_n, four_n = -trunc, 2 * N, 4 * N
+        if self.radical:
+            for key in self.nonholo:
+                raise ValueError(f"nonholo entry in radical table at {key}")
+            for n, gamma in self.holo:
+                if n <= 0:
                     raise ValueError(f"non-positive index at {(n, gamma)}")
+        for part, table, hi in (("holo", self.holo, trunc),
+                                ("nonholo", self.nonholo, -1)):
+            get = table.get
+            unpaired = 0  # entries whose pair check has not (yet) passed
+            for (n, gamma), c in table.items():
+                num = c.numerator
+                if not num:
+                    raise ValueError(f"stored zero at {part}{(n, gamma)}")
+                if not lo <= n <= hi:
+                    raise ValueError(f"entry at (n={n}, gamma={gamma}) is outside "
+                                     f"[{lo}, {hi}]")
                 if not 0 <= gamma < two_n:
                     raise ValueError(f"non-canonical index at {part}{(n, gamma)}")
-                if not is_supported(self.N, self.rep, n, gamma):
-                    raise ValueError(f"support violation at {part}{(n, gamma)}")
-                if abs(n) > self.trunc:
-                    raise ValueError(f"entry beyond truncation at {part}{(n, gamma)}")
-                if part == "nonholo" and n >= 0:
-                    raise ValueError(f"nonholo entry with n >= 0 at {(n, gamma)}")
-                if table.get((n, (-gamma) % two_n), Fraction(0)) != eps * c:
-                    raise ValueError(f"symmetry violation at {part}{(n, gamma)}")
+                if (n - rep * gamma * gamma) % four_n:
+                    raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
+                                     f"support rule")
+                if gamma == 0 or gamma == N:
+                    if eps < 0:
+                        raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
+                                         f"symmetry: a self-paired slot must vanish")
+                elif gamma > N:
+                    unpaired += 1
+                else:  # each pair is checked once, from its entry with gamma < N
+                    v = get((n, two_n - gamma))
+                    if v is None:
+                        unpaired += 1
+                    # compared as ints: Fraction's != costs about three times as much
+                    elif v.numerator != eps * num or v.denominator != c.denominator:
+                        raise ValueError(f"entry at (n={n}, gamma={two_n - gamma}) "
+                                         f"violates the symmetry with gamma = {gamma}")
+                    else:
+                        unpaired -= 1
+            if unpaired:
+                n, gamma = next((n, g) for n, g in table
+                                if g not in (0, N) and (n, two_n - g) not in table)
+                raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
+                                 f"symmetry: gamma = {two_n - gamma} is missing")
 
     def scaled(self, factor) -> "VVExpansion":
-        if factor == 0:
-            return VVExpansion(self.N, self.weight, self.rep, {}, {}, self.trunc,
-                               self.radical)
-        return VVExpansion(
-            self.N,
-            self.weight,
-            self.rep,
-            {k: factor * c for k, c in self.holo.items()},
-            {k: factor * c for k, c in self.nonholo.items()},
-            self.trunc,
-            self.radical,
-        )
+        tables = [{k: factor * c for k, c in t.items()} if factor else {}
+                  for t in (self.holo, self.nonholo)]
+        return VVExpansion(self.N, self.weight, self.rep, *tables, self.trunc,
+                           self.radical)
 
     def __add__(self, other):
         if not isinstance(other, VVExpansion):
@@ -231,11 +225,11 @@ class VVExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "VVExpansion":
-        """Read the holo/nonholo layout; a malformed value raises ValueError.
+        """Read the holo/nonholo layout, then let validate() decide.
 
-        The weight must be half-integral, and the tables must obey the
-        support rule and the component symmetry; holo indices lie in
-        [-trunc, trunc] and nonholo indices in [-trunc, -1].
+        The reader only reads: every field, JSON-integer N, trunc and indices,
+        a known rep, rational numbers, no slot given twice.  validate() alone
+        decides the table rules.  A malformed value raises ValueError.
         """
         try:
             N, trunc = data["N"], data["trunc"]
@@ -245,15 +239,16 @@ class VVExpansion:
                 raise TypeError(f"rep must be 'rho' or 'dual', got {data['rep']!r}")
             rep = 1 if data["rep"] == "rho" else -1
             weight = parse_fraction(data["k"])
-            _check_frame(N, trunc)
-            eps = symmetry_sign(weight, rep)
-            holo = _clean_table(N, rep, eps, data["holo"], -trunc, trunc)
-            nonholo = _clean_table(N, rep, eps, data["nonholo"], -trunc, -1)
+            _check_frame(N, trunc)  # before the rows: gamma % 0 would raise
+            holo = _read_table(2 * N, data["holo"])
+            nonholo = _read_table(2 * N, data["nonholo"])
         except KeyError as exc:
             raise ValueError(f"malformed expansion JSON: missing field {exc}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed expansion JSON: {exc}") from None
-        return cls(N, weight, rep, holo, nonholo, trunc)
+        f = cls(N, weight, rep, holo, nonholo, trunc)
+        f.validate()
+        return f
 
 
 # ----- constructions ----------------------------------------------------
@@ -265,10 +260,7 @@ def theta_series(N: int, trunc: int) -> VVExpansion:
     The component gamma collects q^(m^2/4N) over integers m = gamma mod 2N,
     so the coefficient at (n, gamma) counts such m with m^2 = n.
     """
-    if N < 1:
-        raise ValueError("level N must be a positive integer")
-    if trunc < 0:
-        raise ValueError("truncation must be non-negative")
+    _check_frame(N, trunc)
     counts = {}
     two_n = 2 * N
     for m in range(-isqrt(trunc), isqrt(trunc) + 1):
@@ -287,15 +279,9 @@ def apply_aut(f: VVExpansion, c: int) -> VVExpansion:
     N = f.N
     two_n = 2 * N
     eps = atkin_lehner(N, c, 1)
-    return VVExpansion(
-        N,
-        f.weight,
-        f.rep,
-        {(n, eps * g % two_n): v for (n, g), v in f.holo.items()},
-        {(n, eps * g % two_n): v for (n, g), v in f.nonholo.items()},
-        f.trunc,
-        f.radical,
-    )
+    tables = [{(n, eps * g % two_n): v for (n, g), v in t.items()}
+              for t in (f.holo, f.nonholo)]
+    return VVExpansion(N, f.weight, f.rep, *tables, f.trunc, f.radical)
 
 
 def basis_m_half(N: int, trunc: int) -> list:

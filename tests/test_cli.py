@@ -286,7 +286,7 @@ class TestErrors:
     def test_theta_nonpositive_level(self, capsys, level):
         code, out, err = run(capsys, ["theta", "--N", level])
         assert code == 2 and out == ""
-        assert "positive" in json.loads(err)["error"]
+        assert "N >= 1" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("level", ["0", "-2"])
     def test_heegner_nonpositive_level(self, capsys, level):

@@ -12,6 +12,7 @@ from weilq import vvforms
 from weilq._linalg import InconsistentSystem
 from weilq.borcherds import borcherds_product
 from weilq.discform import atkin_lehner, divisor_classes
+from weilq.heckeops import hecke_tp, level_u, level_v
 from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
                            basis_m_half, decompose, formal_xi, is_supported,
                            random_supported, symmetry_sign, theta_series)
@@ -94,10 +95,10 @@ class TestExpansionBasics:
         with pytest.raises(ValueError, match="support"):
             bad_support.validate()
         beyond = VVExpansion(2, F(1, 2), 1, {(16, 0): F(1)}, {}, 10)
-        with pytest.raises(ValueError, match="truncation"):
+        with pytest.raises(ValueError, match=re.escape("is outside [")):
             beyond.validate()
         wrong_part = VVExpansion(2, F(1, 2), 1, {}, {(8, 0): F(1)}, 10)
-        with pytest.raises(ValueError, match="n >= 0"):
+        with pytest.raises(ValueError, match=re.escape("is outside [")):
             wrong_part.validate()
         for N, trunc in ((0, 10), (-2, 10), (2, -4)):
             with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
@@ -211,6 +212,18 @@ class TestExpansionBasics:
         f = random_supported(6, F(3, 2), -1, seed=5, trunc=40)
         g = VVExpansion.from_json(f.to_json())
         assert g == f
+        # every non-radical table an operator writes is one from_json accepts
+        kinds = [(k, rep) for k in (F(-1, 2), F(1, 2), F(3, 2), F(5, 2))
+                 for rep in (1, -1)]
+        for N, p, c in ((1, 3, 1), (2, 5, 2), (3, 5, 3), (6, 5, 2), (10, 3, 5)):
+            stored = [0, 0, 0, 0]  # entries written, per operator
+            for seed, (k, rep) in enumerate(kinds):
+                f = random_supported(N, k, rep, seed=seed, trunc=150)
+                outputs = (hecke_tp(f, p), level_u(f, 2), level_v(f, 3), apply_aut(f, c))
+                for i, g in enumerate(outputs):
+                    stored[i] += len(g.holo) + len(g.nonholo)
+                    assert VVExpansion.from_json(g.to_json()) == g, (N, k, rep, i)
+            assert all(stored), N
 
     def test_from_json_canonicalizes(self):
         data = {"N": 2, "k": "1/2", "rep": "rho",
