@@ -44,8 +44,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump(obj) -> str:
-    # without indent, json uses its C encoder
-    return json.dumps(obj) + "\n"
+    # every payload is a freshly built tree, so it has no cycle to detect;
+    # the check would put and drop an id() marker for every row
+    return json.dumps(obj, check_circular=False) + "\n"
 
 
 def _csv(rows, header) -> str:

@@ -41,10 +41,6 @@ def symmetry_sign(weight: Fraction, rep: int) -> int:
     return -1 if int(e) % 2 else 1
 
 
-def is_supported(N: int, rep: int, n: int, gamma: int) -> bool:
-    return (n - rep * gamma * gamma) % (4 * N) == 0
-
-
 def _check_frame(N: int, trunc: int) -> None:
     """An expansion needs a level N >= 1 and a truncation trunc >= 0."""
     if N < 1 or trunc < 0:
@@ -134,7 +130,7 @@ class VVExpansion:
             get = table.get
             unpaired = 0  # entries whose pair check has not (yet) passed
             for (n, gamma), c in table.items():
-                num = c.numerator
+                num, den = c.as_integer_ratio()
                 if not num:
                     raise ValueError(f"stored zero at {part}{(n, gamma)}")
                 if not lo <= n <= hi:
@@ -155,8 +151,11 @@ class VVExpansion:
                     v = get((n, two_n - gamma))
                     if v is None:
                         unpaired += 1
-                    # compared as ints: Fraction's != costs about three times as much
-                    elif v.numerator != eps * num or v.denominator != c.denominator:
+                    # int ratios compare cheaper than Fractions; the reader
+                    # shares one value per text, so v may be c itself, which
+                    # matches only when eps = +1
+                    elif ((v is not c or eps < 0)
+                          and v.as_integer_ratio() != (eps * num, den)):
                         raise ValueError(f"entry at (n={n}, gamma={two_n - gamma}) "
                                          f"violates the symmetry with gamma = {gamma}")
                     else:
@@ -213,13 +212,28 @@ class VVExpansion:
         return True, None
 
     def to_json(self) -> dict:
-        """JSON tables; a radical table writes its one table under "r"."""
+        """JSON tables; a radical table writes its one table under "r".
+
+        Each table is a list of [n, gamma, text] rows sorted by (n, gamma),
+        where text is str() of the stored Fraction.  str() runs once per
+        distinct stored value object: operators and the reader share one
+        object among many entries.
+        """
         data = {"N": self.N, "k": str(self.weight),
                 "rep": "rho" if self.rep == 1 else "dual"}
         tables = ({"r": self.holo} if self.radical
                   else {"holo": self.holo, "nonholo": self.nonholo})
+        # keyed by id(v), which is sound while the tables keep every value
+        # alive; hashing a Fraction costs more than the str() it saves
+        text = {}
         for name, table in tables.items():
-            data[name] = [[n, g, str(v)] for (n, g), v in sorted(table.items())]
+            rows = data[name] = []
+            for key in sorted(table):
+                v = table[key]
+                s = text.get(id(v))
+                if s is None:
+                    s = text[id(v)] = str(v)
+                rows.append([key[0], key[1], s])
         data["trunc"] = self.trunc
         return data
 

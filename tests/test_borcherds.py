@@ -12,8 +12,7 @@ from weilq.discform import divisor_classes
 from weilq.fracq import FracSeries
 from weilq.verify import _degree_cases, _eta_cases, _series_witness, run_suite
 from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
-                           basis_m_half, is_supported, random_supported,
-                           theta_series)
+                           basis_m_half, random_supported, theta_series)
 
 
 def one_factor(n, e, prec):
@@ -211,7 +210,7 @@ class TestProductWindow:
             noisy = {}
             for gamma in range(2 * N):
                 for n in range(-trunc, trunc + 1):
-                    if is_supported(N, 1, n, gamma):
+                    if (n - gamma * gamma) % (4 * N) == 0:
                         noisy[(n, gamma)] = F(2 * rng.randint(-5, 5) + 1,
                                               rng.choice((2, 4, 6)))
             for n in range(1, 20):

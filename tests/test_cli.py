@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, JSON/CSV payloads, piping."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 from math import ceil
 
 import pytest
+from test_vvforms import reference_json
 
 import weilq
 import weilq.verify as verify
@@ -19,7 +21,8 @@ from weilq.divisors import eta_divisor
 from weilq.fracq import FracSeries, eta_series
 from weilq.heckeops import hecke_tp
 from weilq.jacobi import euler_transform
-from weilq.vvforms import VVExpansion, apply_aut, theta_series
+from weilq.vvforms import (VVExpansion, apply_aut, random_supported,
+                           theta_series)
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -195,6 +198,47 @@ class TestFractionRoute:
                                      str(weyl), "--format", fmt],
                             stdin_text=text, monkeypatch=monkeypatch)
                         assert code == 0 and out == want, (N, prec, c, fmt)
+
+
+class TestGoldenOutput:
+    """The stdout of a fixed list of small commands, pinned byte for byte."""
+
+    # sha256 of the concatenated stdout; CLI JSON stays byte-identical
+    # unless CHANGES.md records the change
+    SHA256 = "033888b5935b092171571051ffcf29cdf7da809ccdbc4ede62a51cc8c55d468f"
+
+    def test_stdout_is_unchanged(self, capsys, tmp_path):
+        inputs = {"f": random_supported(6, F(1, 2), 1, seed=1, trunc=60),
+                  "g": random_supported(5, F(3, 2), -1, seed=2, trunc=60),
+                  "theta": apply_aut(theta_series(6, 144), 2)}
+        for name, f in inputs.items():
+            (tmp_path / name).write_text(json.dumps(reference_json(f)))
+        (tmp_path / "target").write_text(json.dumps(eta_divisor(12, 2).to_json()))
+
+        def path(name):
+            return ["--in", str(tmp_path / name)]
+
+        commands = [["theta", "--N", "6", "--prec", "60"],
+                    ["basis", "--N", "12", "--prec", "40"]]
+        for name, c in (("f", "3"), ("g", "5")):
+            commands += [["apply", "--op", "sigma", "--c", c, *path(name)],
+                         ["apply", "--op", "tp", "--p", "7", *path(name)],
+                         ["apply", "--op", "ud", "--d", "2", *path(name)],
+                         ["apply", "--op", "vl", "--l", "3", *path(name)],
+                         ["xi", *path(name)]]
+        commands += [["product", "--prec", "12", *path("theta")],
+                     ["product", "--prec", "12", "--format", "csv", *path("theta")],
+                     ["eta", "--N", "6", "--d", "2", "--prec", "30"],
+                     ["solve", "--N", "12", *path("target")],
+                     ["heegner", "--N", "5", "--n", "-4", "--gamma", "4"],
+                     ["heegner", "--N", "5", "--n", "-4", "--gamma", "6"]]
+        outs = []
+        for argv in commands:
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            outs.append(out)
+        digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+        assert digest == self.SHA256
 
 
 def test_cli_import_loads_no_process_pool():

@@ -1,5 +1,6 @@
 """Vector-valued expansions: theta series, symmetry, basis, decomposition."""
 
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -11,11 +12,23 @@ from test_linalg import dense_solve, outcome
 from weilq import vvforms
 from weilq._linalg import InconsistentSystem
 from weilq.borcherds import borcherds_product
-from weilq.discform import atkin_lehner, divisor_classes
+from weilq.cli import _dump
+from weilq.discform import atkin_lehner, divisor_classes, exact_divisors
 from weilq.heckeops import hecke_tp, level_u, level_v
+from weilq.verify import run_suite
 from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
-                           basis_m_half, decompose, formal_xi, is_supported,
+                           basis_m_half, decompose, formal_xi,
                            random_supported, symmetry_sign, theta_series)
+
+
+def reference_json(f):
+    """Expansion JSON in the documented layout, written without to_json."""
+    tables = ({"r": f.holo} if f.radical
+              else {"holo": f.holo, "nonholo": f.nonholo})
+    return {"N": f.N, "k": str(f.weight), "rep": "rho" if f.rep == 1 else "dual",
+            **{name: [[n, g, str(v)] for (n, g), v in sorted(t.items())]
+               for name, t in tables.items()},
+            "trunc": f.trunc}
 
 
 class TestSymmetrySign:
@@ -75,10 +88,15 @@ class TestThetaSeries:
 
 class TestExpansionBasics:
     def test_support_rule(self):
-        assert is_supported(6, 1, 1, 11)
-        assert not is_supported(6, 1, 2, 11)
-        assert is_supported(6, -1, -1, 1)
-        assert is_supported(6, -1, 23, 1)
+        # n = rep * gamma^2 mod 4N: (1, 11) and (1, 1) on rho, (-1, 1) and
+        # (23, 11) on the dual, each with its partner slot
+        for rep, rows in ((1, [(1, 1), (1, 11)]), (-1, [(-1, 1), (-1, 11)]),
+                          (-1, [(23, 1), (23, 11)])):
+            VVExpansion(6, F(1, 2) + (rep < 0), rep,
+                        {k: F(1) for k in rows}, {}, 30).validate()
+        off = VVExpansion(6, F(1, 2), 1, {(2, 1): F(1), (2, 11): F(1)}, {}, 30)
+        with pytest.raises(ValueError, match="support rule"):
+            off.validate()
 
     def test_get_normalizes_gamma(self):
         th = theta_series(6, 50)
@@ -225,6 +243,44 @@ class TestExpansionBasics:
                     assert VVExpansion.from_json(g.to_json()) == g, (N, k, rep, i)
             assert all(stored), N
 
+    def test_to_json_matches_reference_layout(self):
+        # operator and shadow outputs, whose values are shared objects
+        payloads = []
+        for N in range(1, 13):
+            p = next(q for q in (3, 5, 7, 11, 13) if 2 * N % q)
+            exact = exact_divisors(N)
+            for i, k in enumerate((F(-1, 2), F(1, 2), F(3, 2), F(5, 2))):
+                for rep in (1, -1):
+                    f = random_supported(N, k, rep, seed=100 * N + 2 * i + rep, trunc=60)
+                    c = exact[(i + rep) % len(exact)]
+                    for g in (hecke_tp(f, p), level_u(f, 2), level_v(f, 3),
+                              apply_aut(f, c), formal_xi(f)):
+                        data = g.to_json()
+                        assert json.dumps(data) == json.dumps(reference_json(g))
+                        payloads.append(data)
+        payloads.append({"ok": True, "results": [r.to_json()
+                                                 for r in run_suite("fricke", n_max=3)]})
+        for data in payloads:
+            assert _dump(data) == json.dumps(data) + "\n"
+
+    def test_to_json_shared_and_equal_values(self):
+        # one Fraction object under many keys, next to equal values that are
+        # distinct objects, and keys that sort differently from their values
+        shared = F(-7, 3)
+        holo, nonholo = {}, {}
+        for i, n in enumerate(range(-63, 64, 8)):
+            v = shared if i % 3 else F(-7, 3)
+            holo[(n, 1)] = holo[(n, 3)] = v
+            holo[(n - 1, 0)] = F(i - 8, 2) or shared
+        for n in range(-60, 0, 8):
+            nonholo[(n, 2)] = shared if n % 16 else F(-n, 5)
+        f = VVExpansion(2, F(1, 2), 1, holo, nonholo, 64)
+        f.validate()
+        data = f.to_json()
+        assert json.dumps(data) == json.dumps(reference_json(f))
+        assert _dump(data) == json.dumps(data) + "\n"
+        assert VVExpansion.from_json(data) == f
+
     def test_from_json_canonicalizes(self):
         data = {"N": 2, "k": "1/2", "rep": "rho",
                 "holo": [[1, -3, "1"], [1, 3, "1"]], "nonholo": [],
@@ -251,6 +307,19 @@ class TestFromJsonStrict:
     def test_symmetry_and_duplicates(self, holo, match):
         with pytest.raises(ValueError, match=match):
             VVExpansion.from_json(self.data(2, "1/2", "rho", holo))
+
+    @pytest.mark.parametrize("part, n", [("holo", -1), ("nonholo", -13)])
+    @pytest.mark.parametrize("first", [1, 5])
+    def test_same_text_partners_at_negative_eps(self, part, n, first):
+        # weight 1/2 on the dual has eps = -1, so equal nonzero partners are
+        # a violation even when the reader shares one value for their text
+        rows = [[n, first, "3/2"], [n, 6 - first, "3/2"]]
+        data = self.data(3, "1/2", "dual", [], trunc=20)
+        data[part] = rows
+        with pytest.raises(ValueError, match="symmetry with gamma = 1"):
+            VVExpansion.from_json(data)
+        rows[1][2] = "-3/2"
+        VVExpansion.from_json(data)
 
     def test_self_paired_slot_must_vanish(self):
         # weight 3/2 on rho has eps = -1, so gamma = 0 and gamma = N are empty
@@ -491,7 +560,7 @@ class TestDecompose:
 def all_slots(N, window):
     """Reference walk: every supported slot with 0 <= n <= min(window, 4N)."""
     return [(n, g) for n in range(min(window, 4 * N) + 1) for g in range(2 * N)
-            if is_supported(N, 1, n, g)]
+            if (n - g * g) % (4 * N) == 0]
 
 
 def slot_system(f, basis, slots):
@@ -539,7 +608,7 @@ class TestDecomposeOracle:
             basis = basis_m_half(N, window)
             f, coords = seeded_combination(rng, basis)
             free = [(n, g) for n in range(window + 1) for g in range(2 * N)
-                    if not is_supported(N, 1, n, g)]
+                    if (n - g * g) % (4 * N)]
             for slot in rng.sample(free, min(5, len(free))):
                 bad = VVExpansion(N, f.weight, 1, {**f.holo, slot: F(7, 3)}, {},
                                   window)
