@@ -11,12 +11,11 @@ only a rational exponent table makes the kernel itself leave the ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
 from .discform import divisor_classes
-from .fracq import FracSeries
+from .fracq import FracSeries, Record
 from .jacobi import euler_transform, mul_trunc, pentagonal
 from .vvforms import VVExpansion, basis_m_half, decompose
 
@@ -62,14 +61,18 @@ def _weyl_of_coordinates(N: int, coords: list) -> Fraction:
                 for x, d in zip(coords, divisor_classes(N))), Fraction(0))
 
 
-@dataclass
-class ProductResult:
-    """Expanded product together with the data that produced it."""
+class ProductResult(Record):
+    """Expanded product together with the data that produced it.
 
-    weight: Fraction
-    weyl: Fraction
-    expansion: FracSeries
-    exponents: dict
+    A plain class, not a dataclass (see fracq.Record).
+    """
+
+    def __init__(self, weight: Fraction, weyl: Fraction, expansion: FracSeries,
+                 exponents: dict) -> None:
+        self.weight = weight
+        self.weyl = weyl
+        self.expansion = expansion
+        self.exponents = exponents
 
     def validate(self) -> None:
         lead = self.expansion.leading_exponent

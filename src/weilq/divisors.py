@@ -9,14 +9,14 @@ counts of CM points (binary quadratic forms) live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from ._linalg import InconsistentSystem, SingularSystem, solve_exact
 from .discform import divisor_classes, divisors, euler_phi, index_gamma0
-from .fracq import add_into, parse_fraction
+from .fracq import Record, add_into, parse_fraction
 
 
 class MatchingError(ValueError):
@@ -26,18 +26,16 @@ class MatchingError(ValueError):
 # ----- cusp classes -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CuspClass:
-    """Galois class of cusps a/c, keyed by the divisor c of the level."""
+class CuspClass(namedtuple("CuspClass", "c orbit_size conductor width")):
+    """Galois class of cusps a/c, keyed by the divisor c of the level.
 
-    c: int
-    orbit_size: int
-    conductor: int
-    width: int
+    A read-only, hashable named tuple, not a dataclass (see fracq.Record).
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"c": self.c, "orbit_size": self.orbit_size,
-                "conductor": self.conductor, "width": self.width}
+        return self._asdict()
 
 
 def cusp_classes(N: int) -> list:
@@ -92,12 +90,15 @@ def eta_order(N: int, d: int, c: int) -> Fraction:
     return order
 
 
-@dataclass
-class CuspDivisor:
-    """Rational divisor supported on cusp classes: one order per c | N."""
+class CuspDivisor(Record):
+    """Rational divisor supported on cusp classes: one order per c | N.
 
-    N: int
-    orders: dict
+    A plain class, not a dataclass (see fracq.Record).
+    """
+
+    def __init__(self, N: int, orders: dict) -> None:
+        self.N = N
+        self.orders = orders
 
     @classmethod
     def zero(cls, N: int) -> "CuspDivisor":

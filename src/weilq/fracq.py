@@ -14,13 +14,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from typing import Iterable, Tuple
 
 from .jacobi import pentagonal
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class Record:
+    """Field-wise == and a Class(field=value, ...) repr over vars(self).
+
+    The value classes use this base instead of dataclasses, whose import
+    loads inspect, ast and dis (about 10 ms per process);
+    tests/test_stdlib_only.py checks that weilq.cli loads none of them.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
 def add_into(table: dict, key, value) -> None:
@@ -141,7 +160,7 @@ class FracSeries:
             return Fraction(0)
         return self.terms.get(scaled.numerator, Fraction(0))
 
-    def items(self) -> Iterable[Tuple[Fraction, Fraction]]:
+    def items(self) -> list:
         """Sorted (exponent, coefficient) pairs."""
         return [(Fraction(e, self.denom), self.terms[e]) for e in sorted(self.terms)]
 

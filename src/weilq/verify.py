@@ -13,7 +13,6 @@ command-line front end and the release test suite both go through
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -22,18 +21,19 @@ from .discform import divisor_classes, divisors, exact_divisors, index_gamma0
 from .divisors import (CuspDivisor, cusp_space_dimension, eta_divisor,
                        eta_order, fricke_image, heegner_degree,
                        solve_cusp_matching, cusp_classes)
+from .fracq import Record
 from .heckeops import hecke_tp, level_u, level_v
 from .vvforms import (DecompositionError, apply_aut, basis_m_half, decompose,
                       formal_xi, random_supported, theta_series)
 
 
-@dataclass
-class SuiteResult:
-    """Outcome of one verification suite."""
+class SuiteResult(Record):
+    """Outcome of one verification suite; a plain class, see fracq.Record."""
 
-    suite: str
-    cases: int
-    failures: list
+    def __init__(self, suite: str, cases: int, failures: list) -> None:
+        self.suite = suite
+        self.cases = cases
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

@@ -15,13 +15,12 @@ representation and (-1)^(k+1/2) on the dual.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from ._linalg import InconsistentSystem, SingularSystem, solve_exact
 from .discform import atkin_lehner, divisor_classes
-from .fracq import add_into, parse_fraction
+from .fracq import Record, add_into, parse_fraction
 
 
 class DecompositionError(ValueError):
@@ -71,8 +70,7 @@ def _read_table(two_n: int, rows) -> dict:
     return out
 
 
-@dataclass
-class VVExpansion:
+class VVExpansion(Record):
     """Truncated vector-valued expansion at level N.
 
     holo and nonholo map (n, gamma) -> Fraction with canonical gamma in
@@ -83,15 +81,18 @@ class VVExpansion:
     with m > 0 to the coefficient relative to an implicit radical weight
     sqrt(m/4N), which keeps every stored value rational, and nonholo is
     empty.  The support rule reads m = rep * gamma^2 mod 4N as usual.
+    A plain class, not a dataclass (see fracq.Record).
     """
 
-    N: int
-    weight: Fraction
-    rep: int
-    holo: dict
-    nonholo: dict
-    trunc: int
-    radical: bool = False
+    def __init__(self, N: int, weight: Fraction, rep: int, holo: dict,
+                 nonholo: dict, trunc: int, radical: bool = False) -> None:
+        self.N = N
+        self.weight = weight
+        self.rep = rep
+        self.holo = holo
+        self.nonholo = nonholo
+        self.trunc = trunc
+        self.radical = radical
 
     @property
     def epsilon(self) -> int:
@@ -242,8 +243,9 @@ class VVExpansion:
         """Read the holo/nonholo layout, then let validate() decide.
 
         The reader only reads: every field, JSON-integer N, trunc and indices,
-        a known rep, rational numbers, no slot given twice.  validate() alone
-        decides the table rules.  A malformed value raises ValueError.
+        a known rep, rational numbers, no slot given twice; a shadow ("r")
+        table is refused.  validate() alone decides the table rules.  A
+        malformed value raises ValueError.
         """
         try:
             N, trunc = data["N"], data["trunc"]
@@ -257,7 +259,9 @@ class VVExpansion:
             holo = _read_table(2 * N, data["holo"])
             nonholo = _read_table(2 * N, data["nonholo"])
         except KeyError as exc:
-            raise ValueError(f"malformed expansion JSON: missing field {exc}") from None
+            why = ('a shadow ("r") table is output only; expansions are read from '
+                   'the holo/nonholo layout' if "r" in data else f"missing field {exc}")
+            raise ValueError(f"malformed expansion JSON: {why}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed expansion JSON: {exc}") from None
         f = cls(N, weight, rep, holo, nonholo, trunc)

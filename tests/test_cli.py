@@ -359,7 +359,8 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "malformed" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("argv", [["product"], ["apply", "--op", "ud", "--d", "2"]])
+    @pytest.mark.parametrize("argv", [["product"], ["apply", "--op", "ud", "--d", "2"],
+                                      ["xi"]])
     def test_shadow_table_is_not_an_input(self, capsys, monkeypatch, argv):
         f = VVExpansion(1, F(1, 2), 1, {(0, 0): F(1)},
                         {(-3, 1): F(2)}, 20)
@@ -369,8 +370,9 @@ class TestErrors:
         code, out, err = run(capsys, argv, stdin_text=shadow,
                              monkeypatch=monkeypatch)
         assert code == 2 and out == ""
-        assert json.loads(err)["error"] == \
-            "malformed expansion JSON: missing field 'holo'"
+        assert json.loads(err)["error"] == (
+            'malformed expansion JSON: a shadow ("r") table is output only; '
+            'expansions are read from the holo/nonholo layout')
 
     @pytest.mark.parametrize("field", ["N", "k", "rep", "holo", "nonholo",
                                        "trunc"])

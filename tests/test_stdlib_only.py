@@ -1,7 +1,11 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports only the standard library and itself, and importing
+its CLI loads neither dataclasses nor typing nor the inspect, ast and dis
+modules that they pull in.
+"""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weilq"
@@ -22,3 +26,13 @@ def test_every_absolute_import_is_stdlib_or_weilq():
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in {*sys.stdlib_module_names, "weilq"}]
     assert not outside
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # -S skips site, so no .pth file imports typing before weilq does
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import weilq.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+            "'typing'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
