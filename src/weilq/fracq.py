@@ -80,7 +80,9 @@ class FracSeries:
         positive integer M; exponents live on the lattice (1/M)Z.
     terms
         map e -> c_e, with integer key e meaning exponent e/M.  Zero
-        coefficients are never stored.
+        coefficients are never stored, and each stored one is an exact
+        ``Fraction``: the constructor converts every other number, a
+        Fraction subclass included.
     trunc
         rational bound T.  Coefficients at exponents >= T are unspecified;
         everything below T is exact.
@@ -97,13 +99,9 @@ class FracSeries:
         trunc = _frac(trunc)
         # ceil(trunc * denom) in ints: for an integer e, e < bound iff e/denom < trunc
         bound = -(-trunc.numerator * denom // trunc.denominator)
-        kept = {}
-        for e, c in terms.items():
-            if c and e < bound:
-                kept[e] = _frac(c)
-        g = denom
-        for e in kept:
-            g = gcd(g, e)
+        kept = {e: c if type(c) is Fraction else Fraction(c)
+                for e, c in terms.items() if c and e < bound}
+        g = gcd(denom, *kept)
         if g > 1:
             kept = {e // g: c for e, c in kept.items()}
             denom //= g

@@ -5,12 +5,15 @@ sum c[n] q^(v + n), where the leading exponent v and the truncation
 v + size are kept by the caller.  The products of the paper have
 integral exponents, so they expand here in ints; Fractions enter when a
 caller wraps a list into a ``FracSeries``, or inside ``euler_transform``
-for a table with a rational exponent.
+for a table with a rational exponent among the factors that reach the
+window.  A product whose factors all sit on exponents in gZ is a series
+in q^g, and ``euler_transform`` expands it as one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 
@@ -18,30 +21,41 @@ def euler_transform(table: dict, size: int) -> list:
     """Coefficients of prod_n (1 - q^n)^table[n] at q^0, ..., q^(size - 1).
 
     The log-derivative recurrence: with b(k) = -sum_{n | k} n * table[n],
-    p(0) = 1 and m * p(m) = sum_{1 <= k <= m} b(k) * p(m - k).  With
-    integer exponents everything stays in ints and each division by m must
-    be exact; a rational exponent turns the coefficients into Fractions.
+    p(0) = 1 and m * p(m) = sum_{1 <= k <= m} b(k) * p(m - k).  Only the
+    factors that enter the window count, those with table[n] != 0 and
+    n < size.  When their n share a divisor g > 1 the product is F(q^g)
+    with F = prod (1 - q^m)^table[g m]: the recurrence runs on F at size
+    ceil(size / g), g^2 times fewer steps, and F is spread at stride g.
+    When every entering table[n] is an integer, every entry is an int and
+    each division by m must be exact; a rational one makes the entries at
+    multiples of g Fractions, and leaves the others int zeros.
     """
-    integral = all(c.denominator == 1 for c in table.values())
-    b = [0] * size
-    for n, c in table.items():
-        if c and n < size:
-            step = n * (c.numerator if integral else c)
-            for k in range(n, size, n):
-                b[k] -= step
+    entering = [(n, c) for n, c in table.items() if c and n < size]
+    g = gcd(*(n for n, _ in entering)) or 1
+    integral = all(c.denominator == 1 for _, c in entering)
+    inner = -(-size // g)
+    b = [0] * inner
+    for n, c in entering:
+        n //= g
+        step = n * (c.numerator if integral else c)
+        for k in range(n, inner, n):
+            b[k] -= step
     b1 = b[1:]
     p = [1]
-    for m in range(1, size):
+    for m in range(1, inner):
         # map stops at the end of p: b(1) * p(m - 1) + ... + b(m) * p(0)
         s = sum(map(mul, b1, reversed(p)))
         if integral:
             s, rem = divmod(s, m)
             if rem:
-                raise ArithmeticError(f"integer exponents gave a non-integer at q^{m}")
+                raise ArithmeticError(
+                    f"integer exponents gave a non-integer at q^{m * g}")
             p.append(s)
         else:
             p.append(Fraction(s, m))
-    return p[:size]
+    out = [0] * size
+    out[::g] = p[:inner]
+    return out
 
 
 def pentagonal(d: int, size: int) -> list:

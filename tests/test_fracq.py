@@ -6,7 +6,9 @@ from math import ceil, gcd
 
 import pytest
 
+from weilq.borcherds import borcherds_product, eta_product
 from weilq.fracq import FracSeries, add_into, eta_series, parse_fraction
+from weilq.vvforms import VVExpansion, theta_series
 
 
 def series(denom, terms, trunc):
@@ -40,6 +42,33 @@ class TestCanonicalization:
     def test_bad_denominator(self):
         with pytest.raises(ValueError):
             series(0, {}, 5)
+
+
+class TestConstructorContract:
+    """Every stored coefficient is an exact Fraction, whatever came in."""
+
+    class Half(F):
+        pass
+
+    @pytest.mark.parametrize("value", [3, -2, True, F(5, 7), Half(1, 2)])
+    def test_coefficient_stored_as_fraction(self, value):
+        a = series(1, {0: value, 2: 1}, 5)
+        assert type(a.terms[0]) is F
+        assert a.terms[0] == value
+
+    def test_all_zero_input_reduces_denominator(self):
+        a = series(12, {3: 0, 6: F(0), 9: False}, 5)
+        assert a.is_zero() and a.denom == 1
+
+    def test_products_hold_fractions(self):
+        # (1 - q^2)^(1/2) (1 - q^4)^-3: a rational table on 2Z
+        f = VVExpansion(1, F(1, 2), 1, {(4, 0): F(1, 2), (16, 0): F(-3)}, {}, 100)
+        for res in (borcherds_product(theta_series(6, 400), F(7, 24), 20),
+                    borcherds_product(f, 0, 10)):
+            assert res.expansion.terms
+            assert all(type(c) is F for c in res.expansion.terms.values())
+        eta = eta_product(6, 2, 20)
+        assert eta.terms and all(type(c) is F for c in eta.terms.values())
 
 
 class TestInspection:

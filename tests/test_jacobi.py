@@ -58,10 +58,48 @@ class TestEulerTransform:
     def test_factors_past_the_window_are_ignored(self):
         assert euler_transform({3: F(4), 7: F(-5)}, 3) == [1, 0, 0]
 
+    def test_rational_factor_past_the_window_keeps_ints(self):
+        # (1 - q^50)^(1/2) cannot reach q^4, so the expansion is (1 - q)
+        got = euler_transform({1: F(1), 50: F(1, 2)}, 5)
+        assert got == [1, -1, 0, 0, 0]
+        assert all(type(x) is int for x in got)
+
     def test_small_sizes(self):
         assert euler_transform({1: F(1)}, 0) == []
         assert euler_transform({1: F(1)}, 1) == [1]
         assert euler_transform({}, 4) == [1, 0, 0, 0]
+
+
+class TestEulerTransformLattice:
+    """Tables whose entering factors all sit on gZ: a series in q^g."""
+
+    TABLES = [
+        {1: 3, 2: 1, 4: 2, 7: 1},                   # integral
+        {1: F(1, 2), 2: F(-2, 3), 5: F(7, 4)},      # rational
+        {1: -2, 2: 3, 3: -1, 6: 1, 8: -4},          # mixed signs
+    ]
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 6])
+    @pytest.mark.parametrize("size", [41, 48])
+    @pytest.mark.parametrize("base", TABLES)
+    def test_against_factor_by_factor_product(self, g, size, base):
+        table = {g * m: F(c) for m, c in base.items()}
+        table[g + 1] = F(0)            # a zero value off the lattice
+        table[g * size + 1] = F(5, 3)  # off the lattice, past the window
+        got = euler_transform(table, size)
+        assert got == factor_by_factor(table, size)
+        assert all(x == 0 for i, x in enumerate(got) if i % g)
+        integral = all(F(c).denominator == 1 for c in base.values())
+        assert all(type(x) is int for x in got) == integral
+        # neither extra entry lowers g: off gZ the entries stay int zeros
+        assert all(type(x) is int for i, x in enumerate(got) if i % g)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 6])
+    def test_euler_pentagonal_theorem(self, g):
+        size = 100
+        got = euler_transform({g * n: F(1) for n in range(1, size)}, size)
+        assert got == pentagonal(g, size)
+        assert all(type(x) is int for x in got)
 
 
 class TestPentagonal:
