@@ -125,6 +125,10 @@ class CuspDivisor(Record):
         return CuspDivisor(self.N, orders)
 
     def scaled(self, factor) -> "CuspDivisor":
+        """factor * self for an int or Fraction factor; any other raises TypeError."""
+        if not isinstance(factor, (int, Fraction)):
+            raise TypeError(f"scale factor must be an int or a Fraction, "
+                            f"not {type(factor).__name__}")
         if factor == 0:
             return CuspDivisor(self.N, {})
         return CuspDivisor(self.N, {c: factor * v for c, v in self.orders.items()})

@@ -7,7 +7,10 @@ so two series are equal exactly when their canonical forms coincide.  This
 is where Fractions begin: integer expansions (Euler transforms, pentagonal
 lists) are computed as int lists in ``jacobi`` and enter a series only
 through its constructor, which turns each stored coefficient into a
-Fraction.
+Fraction.  An int c with 0 < |c| <= SHARED_BOUND becomes one shared Fraction
+per value (``to_fraction``), made on first use, so the two sides of an
+identity hold the same objects and compare by identity; bools, floats,
+Fraction subclasses and larger ints get a fresh Fraction each.
 """
 
 from __future__ import annotations
@@ -18,8 +21,24 @@ from math import ceil, gcd, lcm
 from .jacobi import pentagonal
 
 
+SHARED_BOUND = 256
+_SHARED = {}    # int c with 0 < |c| <= SHARED_BOUND -> Fraction(c), filled on first use
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def to_fraction(c) -> Fraction:
+    """``Fraction(c)``, one shared object per small int (see the module doc)."""
+    if type(c) is not int:
+        return Fraction(c)
+    f = _SHARED.get(c)
+    if f is None:
+        f = Fraction(c)
+        if c and -SHARED_BOUND <= c <= SHARED_BOUND:
+            _SHARED[c] = f
+    return f
 
 
 class Record:
@@ -82,7 +101,7 @@ class FracSeries:
         map e -> c_e, with integer key e meaning exponent e/M.  Zero
         coefficients are never stored, and each stored one is an exact
         ``Fraction``: the constructor converts every other number, a
-        Fraction subclass included.
+        Fraction subclass included, through ``to_fraction``.
     trunc
         rational bound T.  Coefficients at exponents >= T are unspecified;
         everything below T is exact.
@@ -99,7 +118,9 @@ class FracSeries:
         trunc = _frac(trunc)
         # ceil(trunc * denom) in ints: for an integer e, e < bound iff e/denom < trunc
         bound = -(-trunc.numerator * denom // trunc.denominator)
-        kept = {e: c if type(c) is Fraction else Fraction(c)
+        # a shared small int is a dict lookup here, without a call
+        kept = {e: c if type(c) is Fraction
+                else type(c) is int and _SHARED.get(c) or to_fraction(c)
                 for e, c in terms.items() if c and e < bound}
         g = gcd(denom, *kept)
         if g > 1:
@@ -171,8 +192,7 @@ class FracSeries:
         sa, sb = M // self.denom, M // other.denom
         out = {e * sa: c for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            k = e * sb
-            out[k] = out.get(k, Fraction(0)) + c
+            add_into(out, e * sb, c)
         return FracSeries(M, out, min(self.trunc, other.trunc))
 
     def __neg__(self):

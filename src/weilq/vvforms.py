@@ -20,7 +20,7 @@ from math import gcd, isqrt
 
 from ._linalg import InconsistentSystem, SingularSystem, solve_exact
 from .discform import atkin_lehner, divisor_classes
-from .fracq import Record, add_into, parse_fraction
+from .fracq import Record, add_into, parse_fraction, to_fraction
 
 
 class DecompositionError(ValueError):
@@ -168,6 +168,10 @@ class VVExpansion(Record):
                                  f"symmetry: gamma = {two_n - gamma} is missing")
 
     def scaled(self, factor) -> "VVExpansion":
+        """factor * self for an int or Fraction factor; any other raises TypeError."""
+        if not isinstance(factor, (int, Fraction)):
+            raise TypeError(f"scale factor must be an int or a Fraction, "
+                            f"not {type(factor).__name__}")
         tables = [{k: factor * c for k, c in t.items()} if factor else {}
                   for t in (self.holo, self.nonholo)]
         return VVExpansion(self.N, self.weight, self.rep, *tables, self.trunc,
@@ -284,7 +288,7 @@ def theta_series(N: int, trunc: int) -> VVExpansion:
     for m in range(-isqrt(trunc), isqrt(trunc) + 1):
         key = (m * m, m % two_n)
         counts[key] = counts.get(key, 0) + 1
-    holo = {key: Fraction(c) for key, c in counts.items()}
+    holo = {key: to_fraction(c) for key, c in counts.items()}
     return VVExpansion(N, Fraction(1, 2), 1, holo, {}, trunc)
 
 

@@ -149,6 +149,15 @@ class TestCuspDivisor:
         assert a.scaled(0).orders == {}
         assert CuspDivisor.zero(6).degree() == 0
 
+    def test_scale_factor_must_be_exact(self):
+        div = eta_divisor(6, 2)
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            div.scaled(0.5)
+        for factor in (2, -3, F(1, 2), F(-4, 9)):
+            assert div.scaled(factor).orders == {c: factor * v
+                                                 for c, v in div.orders.items()}
+        assert div.scaled(F(0)).orders == {}
+
     def test_add_level_mismatch(self):
         with pytest.raises(ValueError):
             eta_divisor(6, 1) + eta_divisor(12, 1)

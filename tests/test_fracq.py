@@ -6,9 +6,10 @@ from math import ceil, gcd
 
 import pytest
 
+from weilq import fracq
 from weilq.borcherds import borcherds_product, eta_product
 from weilq.fracq import FracSeries, add_into, eta_series, parse_fraction
-from weilq.vvforms import VVExpansion, theta_series
+from weilq.vvforms import VVExpansion, apply_aut, theta_series
 
 
 def series(denom, terms, trunc):
@@ -50,7 +51,7 @@ class TestConstructorContract:
     class Half(F):
         pass
 
-    @pytest.mark.parametrize("value", [3, -2, True, F(5, 7), Half(1, 2)])
+    @pytest.mark.parametrize("value", [3, -2, True, F(5, 7), Half(1, 2), 2.0])
     def test_coefficient_stored_as_fraction(self, value):
         a = series(1, {0: value, 2: 1}, 5)
         assert type(a.terms[0]) is F
@@ -69,6 +70,48 @@ class TestConstructorContract:
             assert all(type(c) is F for c in res.expansion.terms.values())
         eta = eta_product(6, 2, 20)
         assert eta.terms and all(type(c) is F for c in eta.terms.values())
+
+
+class TestSharedSmallInts:
+    """An int coefficient with 0 < |c| <= SHARED_BOUND is one shared Fraction."""
+
+    def is_shared(self, c):
+        return fracq._SHARED.get(c.numerator) is c
+
+    def test_eta_identity_sides_share_objects(self):
+        weyl, prec = F(5, 24), 80
+        got = borcherds_product(apply_aut(theta_series(6, prec * prec), 2),
+                                weyl, prec).expansion
+        want = eta_product(6, 2, weyl + prec)
+        common = got.terms.keys() & want.terms.keys()
+        assert len(common) > 20 and got.denom == want.denom
+        assert all(got.terms[e] is want.terms[e] for e in common)
+        for c in [*got.terms.values(), *want.terms.values()]:
+            assert type(c) is F and c.denominator == 1
+            assert self.is_shared(c) == (abs(c) <= fracq.SHARED_BOUND)
+
+    def test_theta_reuses_one_object_per_count(self):
+        values = list(theta_series(5, 400).holo.values())
+        ones = [c for c in values if c == 1]
+        assert len(ones) > 1 and all(c is ones[0] for c in ones)
+        assert all(self.is_shared(c) for c in values)
+
+    def test_large_ints_stay_fresh(self):
+        terms = {0: 257, 1: 10**40, 2: -257, 3: 256}
+        a, b = series(1, terms, 5), series(1, terms, 5)
+        for e in (0, 1, 2):
+            assert type(a.terms[e]) is F and a.terms[e] == b.terms[e] == terms[e]
+            assert a.terms[e] is not b.terms[e]
+        assert a.terms[3] is b.terms[3]
+
+    def test_map_holds_only_small_nonzero_ints(self):
+        series(1, {e: e - 1000 for e in range(2001)}, 3000)
+        for c in (0, 5, -600, 300, True, 2.0, F(3), TestConstructorContract.Half(4)):
+            assert fracq.to_fraction(c) == c
+        bound = fracq.SHARED_BOUND
+        assert len(fracq._SHARED) <= 2 * bound == 512
+        assert all(type(c) is int and 0 < abs(c) <= bound for c in fracq._SHARED)
+        assert all(type(f) is F and f == c for c, f in fracq._SHARED.items())
 
 
 class TestInspection:

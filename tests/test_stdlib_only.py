@@ -1,6 +1,6 @@
 """The package imports only the standard library and itself, and importing
 its CLI loads neither dataclasses nor typing nor the inspect, ast and dis
-modules that they pull in.
+modules that they pull in, nor builds a shared small-int Fraction.
 """
 
 import ast
@@ -36,3 +36,12 @@ def test_cli_import_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+def test_cli_import_builds_no_shared_fractions():
+    # the small-int map of fracq is filled on first use, not at import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import weilq.cli; "
+            "from weilq import fracq; print(len(fracq._SHARED))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0"]

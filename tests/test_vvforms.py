@@ -130,6 +130,17 @@ class TestExpansionBasics:
         ok, wit = h.agrees_with(th)
         assert ok, wit
 
+    def test_scale_factor_must_be_exact(self):
+        th = theta_series(1, 9)
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            th.scaled(0.5)
+        for factor in (3, -1, F(1, 2), F(-5, 7)):
+            g = th.scaled(factor)
+            g.validate()
+            assert g.holo == {k: factor * c for k, c in th.holo.items()}
+            assert all(type(c) is F for c in g.holo.values())
+        assert th.scaled(0).holo == {} and th.scaled(F(0)).holo == {}
+
     def test_add_keeps_only_the_common_window(self):
         h = theta_series(1, 100) + theta_series(1, 25)
         assert h.trunc == 25 and (100, 0) not in h.holo
