@@ -25,11 +25,14 @@ from .vvforms import (VVExpansion, apply_aut, basis_m_half, formal_xi,
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("input JSON must be an object")
     return data

@@ -4,7 +4,8 @@ Cusps of the Hecke congruence group of level N are grouped into Galois
 classes, one class per divisor c of N with phi(gcd(c, N/c)) cusps in it.
 Orders of the quadratic eta products along these classes, the linear
 algebra matching a prescribed cusp divisor by such products, and weighted
-counts of CM points (binary quadratic forms) live here.
+counts of CM points (binary quadratic forms, walked against one coset table
+per level) live here.
 """
 
 from __future__ import annotations
@@ -268,51 +269,29 @@ def _proj_automorph_order(a: int, b: int, c: int) -> int:
     return 1
 
 
-def _p1_reps(N: int):
-    """Representatives of the projective line over Z/N, first-entry normalized.
-
-    Every class (x : y) has exactly one representative with x a divisor of N
-    (x = 0 stands for the divisor N) and y minimal among its unit multiples
-    that fix x.
-    """
-    if N == 1:
-        return ((1, 0),)
-    reps = []
-    for c0 in divisors(N):
-        x = c0 % N
-        # the units fixing x are those = 1 mod N/gcd(x, N); visiting y in
-        # ascending order meets each orbit first at its minimum
-        units = [u for u in range(1, N, N // gcd(x, N)) if gcd(u, N) == 1]
-        seen = bytearray(N)
-        for y in range(N):
-            if seen[y] or gcd(gcd(x, y), N) != 1:
-                continue
-            reps.append((x, y))
-            for u in units:
-                seen[u * y % N] = 1
-    return tuple(reps)
-
-
 @lru_cache(maxsize=None)
 def _coset_reps(N: int):
-    """Matrices (a, b, c, d) representing the mu left cosets of level N.
+    """Matrices (a, b, c, d) of SL2(Z), one per left coset of level N.
 
-    The coset of g is determined by the first column (a : c) mod N up to
-    units, so each projective-line class is lifted to a coprime pair and
-    completed to a determinant-one matrix.
+    The coset of g is fixed by its first column (a : c) in P^1(Z/N).  One
+    walk over that line keeps per class the pair with a a positive divisor
+    of N (a = N for 0) and c in [0, N) least among its unit multiples that
+    fix a.  As gcd(a, c) divides a | N and gcd(a, c, N) = 1, the pair is
+    coprime, and d = a^-1 mod c, b = (ad - 1)/c complete it (c = 0 iff a = 1).
     """
     reps = []
-    for x, y in _p1_reps(N):
-        a, c = x, y
-        tries = 0
-        while gcd(a, c) != 1:
-            c += N
-            tries += 1
-            if tries > max(a, 1) + 1:
-                raise RuntimeError(f"failed to lift ({x}:{y}) mod {N}")
-        d = pow(a, -1, c) if c else 1
-        b = (a * d - 1) // c if c else 0
-        reps.append((a, b, c, d))
+    for a in divisors(N):
+        # the units fixing a are those = 1 mod N/a; visiting c in ascending
+        # order meets each orbit first at its minimum
+        units = [u for u in range(1, N, N // a) if gcd(u, N) == 1]
+        seen = bytearray(N)
+        for c in range(N):
+            if seen[c] or gcd(a, c) != 1:
+                continue
+            d = pow(a, -1, c) if c else 1
+            reps.append((a, (a * d - 1) // c if c else 0, c, d))
+            for u in units:
+                seen[u * c % N] = 1
     if len(reps) != index_gamma0(N):
         raise RuntimeError(f"coset enumeration at level {N} has the wrong size")
     return tuple(reps)
@@ -320,7 +299,11 @@ def _coset_reps(N: int):
 
 @lru_cache(maxsize=None)
 def _degrees_by_root(N: int, n: int) -> dict:
-    """Degrees, in sixths, of disc n at level N for all roots gamma mod 2N."""
+    """Degrees, in sixths, of disc n at level N for all roots gamma mod 2N.
+
+    Each reduced form of disc n is moved by every matrix of _coset_reps(N);
+    a translate with N | A' adds to the bin of its B' mod 2N.
+    """
     bins, two_n = {}, 2 * N
     for (A, B, C) in reduced_forms(n):
         sixths = 6 // _proj_automorph_order(A, B, C)

@@ -111,10 +111,10 @@ class VVExpansion(Record):
         """Raise ValueError unless every table rule holds; from_json ends here.
 
         The rules: N >= 1, trunc >= 0, half-integral weight, holo n in
-        [-trunc, trunc], nonholo n in [-trunc, -1], no stored zero, gamma in
-        [0, 2N), the support rule and a(n, -gamma) = eps * a(n, gamma), so a
-        self-paired slot is empty when eps = -1.  A radical table stores only
-        holo entries, at n > 0.
+        [-trunc, trunc], nonholo n in [-trunc, -1], every stored value of
+        type Fraction, no stored zero, gamma in [0, 2N), the support rule
+        and a(n, -gamma) = eps * a(n, gamma), so a self-paired slot is empty
+        when eps = -1.  A radical table stores only holo entries, at n > 0.
         """
         N, rep, trunc = self.N, self.rep, self.trunc
         _check_frame(N, trunc)
@@ -128,6 +128,11 @@ class VVExpansion(Record):
                     raise ValueError(f"non-positive index at {(n, gamma)}")
         for part, table, hi in (("holo", self.holo, trunc),
                                 ("nonholo", self.nonholo, -1)):
+            if not set(map(type, table.values())) <= {Fraction}:
+                key, c = next((k, c) for k, c in table.items()
+                              if type(c) is not Fraction)
+                raise ValueError(f"value at {part}{key} has type "
+                                 f"{type(c).__name__}, not Fraction")
             get = table.get
             unpaired = 0  # entries whose pair check has not (yet) passed
             for (n, gamma), c in table.items():

@@ -418,6 +418,20 @@ class TestErrors:
                          stdin_text="not json", monkeypatch=monkeypatch)
         assert code == 2
 
+    def test_deeply_nested_stdin(self, capsys, monkeypatch):
+        text = "[" * 100000 + "]" * 100000
+        code, out, err = run(capsys, ["apply", "--op", "tp", "--p", "3"],
+                             stdin_text=text, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "input JSON is nested too deeply"}
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text('{"N": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run(capsys, ["solve", "--N", "6", "--in", str(src)])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "input JSON is nested too deeply"}
+
     def test_solve_level_mismatch(self, capsys, tmp_path):
         target = tmp_path / "t.json"
         target.write_text(json.dumps(eta_divisor(6, 1).to_json()))

@@ -1,5 +1,7 @@
 """Cusp classes, eta-product divisors, matching solver, CM-point degrees."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import gcd, isqrt
@@ -11,7 +13,7 @@ from weilq._linalg import solve_exact
 from weilq.discform import divisor_classes, divisors, euler_phi, index_gamma0
 from weilq.divisors import (CuspDivisor, MatchingError, _coset_reps,
                             _degrees_by_root, _matching_inverse, _order_table,
-                            _p1_reps, _proj_automorph_order, cusp_classes,
+                            _proj_automorph_order, cusp_classes,
                             cusp_space_dimension, eta_divisor, eta_order,
                             fricke_image, heegner_degree, reduced_forms,
                             solve_cusp_matching)
@@ -304,19 +306,23 @@ class TestReducedForms:
 class TestCosetReps:
     def test_projective_line_sizes(self):
         for N in (1, 2, 6, 12, 30, 4001):
-            assert len(_p1_reps(N)) == index_gamma0(N)
+            assert len(_coset_reps(N)) == index_gamma0(N)
 
     def test_matches_minimum_enumeration(self):
-        for N in range(1, 300):
-            assert _p1_reps(N) == p1_reps_by_minimum(N), N
+        assert _coset_reps(1) == ((1, 0, 0, 1),)
+        for N in range(2, 300):
+            first_columns = tuple((a % N, c) for a, _, c, _ in _coset_reps(N))
+            assert first_columns == p1_reps_by_minimum(N), N
 
     def test_determinants_and_distinctness(self):
+        for N in range(1, 300):
+            for a, b, c, d in _coset_reps(N):
+                assert a * d - b * c == 1, (N, a, b, c, d)
         for N in (1, 4, 6, 15):
             reps = _coset_reps(N)
             assert len(reps) == index_gamma0(N)
             seen = set()
             for a, b, c, d in reps:
-                assert a * d - b * c == 1
                 # the coset is determined by the bottom-projective first column
                 units = [u for u in range(1, N + 1) if gcd(u, N) == 1]
                 key = min(((u * a) % N, (u * c) % N) for u in units)
@@ -383,6 +389,17 @@ class TestHeegnerDegree:
                 if n % 4 in (0, 1):
                     for g in _degrees_by_root(N, n):
                         assert (g * g - n) % (4 * N) == 0, (N, n, g)
+
+    def test_bins_are_pinned(self):
+        # every bin of 1800 (N, n) pairs, composite levels with gcd(N, n) > 1
+        # included, which the Hurwitz and GKZ oracles above skip
+        pairs = [[N, n, sorted(_degrees_by_root(N, n).items())]
+                 for N in range(1, 31) for n in range(-1, -121, -1)
+                 if n % 4 in (0, 1)]
+        assert len(pairs) == 1800
+        digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+        assert digest == ("ca0da1f72086edac73e76232153012a8"
+                          "26a238c94f75aa9fd8628a223d854898")
 
     def test_cache_stays_inspectable(self):
         # perfbench/worker.py checks through cache_info() that this cache is

@@ -122,6 +122,19 @@ class TestExpansionBasics:
             with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
                 VVExpansion(N, F(1, 2), 1, {}, {}, trunc).validate()
 
+    def test_validate_rejects_non_fraction_values(self):
+        keys = ((0, 0), (1, 1), (4, 0), (9, 1))
+        exact = VVExpansion(1, F(1, 2), 1, {k: F(1) for k in keys}, {}, 9)
+        exact.validate()
+        for values in ((0.5, 1.0, 1.0, 1.0), (1, 1, 1, 1), (F(1), F(1), 1, F(1))):
+            table = dict(zip(keys, values))
+            with pytest.raises(ValueError, match=re.escape("at holo(")
+                               + ".*not Fraction"):
+                VVExpansion(1, F(1, 2), 1, table, {}, 9).validate()
+        nonholo = VVExpansion(1, F(1, 2), 1, {}, {(-3, 1): 2}, 9)
+        with pytest.raises(ValueError, match=re.escape("at nonholo(-3, 1) has type int")):
+            nonholo.validate()
+
     def test_add_and_scale(self):
         th = theta_series(6, 50)
         g = th + th.scaled(-1)
