@@ -91,6 +91,15 @@ def eta_order(N: int, d: int, c: int) -> Fraction:
     return order
 
 
+def _check_classes(N: int, classes) -> None:
+    """A divisor needs an int level N >= 1 and classes c that divide it."""
+    if type(N) is not int or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    for c in classes:
+        if type(c) is not int or c < 1 or N % c:
+            raise ValueError(f"class {c!r} is not a positive divisor of N = {N}")
+
+
 class CuspDivisor(Record):
     """Rational divisor supported on cusp classes: one order per c | N.
 
@@ -138,29 +147,42 @@ class CuspDivisor(Record):
         return {"N": self.N,
                 "orders": [[c, str(self.orders[c])] for c in sorted(self.orders)]}
 
+    def validate(self) -> None:
+        """Raise ValueError unless every table rule holds; from_json ends here.
+
+        The rules: N an int >= 1, each class c a positive divisor of N, every
+        stored value of type Fraction, and no stored zero.
+        """
+        _check_classes(self.N, self.orders)
+        for c, v in self.orders.items():
+            if type(v) is not Fraction:
+                raise ValueError(f"order at class {c} has type "
+                                 f"{type(v).__name__}, not Fraction")
+            if not v:
+                raise ValueError(f"stored zero at class {c}")
+
     @classmethod
     def from_json(cls, data: dict) -> "CuspDivisor":
-        """Read the orders layout; a malformed value raises ValueError.
+        """Read the orders layout, then let validate() decide.
 
-        N must be a positive integer and each class c a positive divisor of
-        N, given at most once.
+        The reader only reads: both fields, rational orders, no class given
+        twice; zero orders are dropped once their classes are checked.  A
+        malformed value raises ValueError.
         """
         try:
-            N = data["N"]
-            if type(N) is not int or N < 1:
-                raise ValueError(f"N must be a positive integer, got {N!r}")
-            orders = {}
+            N, rows = data["N"], {}
             for c, v in data["orders"]:
-                if type(c) is not int or c < 1 or N % c:
-                    raise ValueError(f"class {c!r} is not a positive divisor of N = {N}")
-                if c in orders:
+                if c in rows:
                     raise ValueError(f"class {c} is given twice")
-                orders[c] = parse_fraction(v)
-            return cls(N, {c: v for c, v in orders.items() if v})
+                rows[c] = parse_fraction(v)
         except KeyError as exc:
             raise ValueError(f"malformed divisor JSON: missing field {exc}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed divisor JSON: {exc}") from None
+        _check_classes(N, rows)  # the classes of zero rows too
+        div = cls(N, {c: v for c, v in rows.items() if v})
+        div.validate()
+        return div
 
 
 def eta_divisor(N: int, d: int) -> CuspDivisor:

@@ -242,9 +242,14 @@ class FracSeries:
         return FracSeries(self.denom, self.terms, trunc)
 
     def substitute(self, d: int) -> "FracSeries":
-        """The series with q replaced by q^d (d a positive integer)."""
+        """The series with q replaced by q^d (d a positive integer).
+
+        At d = 1 this is the series itself, not a copy, as level_u(f, 1) is f.
+        """
         if d < 1:
             raise ValueError("substitution power must be a positive integer")
+        if d == 1:
+            return self
         return FracSeries(
             self.denom, {e * d: c for e, c in self.terms.items()}, self.trunc * d
         )

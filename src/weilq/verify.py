@@ -2,18 +2,21 @@
 
 Each suite is a case generator ``cases(N, **params)`` that yields one value
 per case at level N: None when the case passes, or a first-mismatch
-failure dict.  ``SUITES`` maps each name to its generator and its default
-parameters, which are the release acceptance parameters; ``run_suite``
-runs a generator over the levels 1..n_max, serially in one process, and
-returns a SuiteResult with the case count and the failures.  The
-command-line front end and the release test suite both go through
-``run_suite``.
+failure dict.  Criteria 1-3 (eta, basis, usub) check one identity in
+``_lift_cases``, Psi(U_j f) = eta(d z) eta((N/d) z) at q -> q^j, on the
+twisted thetas sigma_c theta (d = c) and on the theta basis (d its class).
+``SUITES`` maps each name to its generator and its default parameters, the
+release acceptance parameters; ``run_suite`` runs a generator over the
+levels 1..n_max, serially in one process, and returns a SuiteResult with
+the case count and the failures.  The command-line front end and the
+release test suite both go through ``run_suite``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .borcherds import _weyl_of_coordinates, borcherds_product, eta_product
@@ -77,45 +80,35 @@ def _expansion_witness(got, expected):
             "expected": str(vb), "window": min(got.trunc, expected.trunc)}
 
 
-# ----- 1. eta-product identity ------------------------------------------
+# ----- 1-3. Borcherds lifts of theta inputs are eta products ------------
+
+
+def _lift_cases(N: int, prec: int, d_max: int, inputs):
+    """Psi(U_j f) = eta(d z) eta((N/d) z) at q -> q^j, for 1 <= j <= d_max.
+
+    inputs yields (d, f), f of Weyl vector (d + N/d)/24: (c, sigma_c theta)
+    for the exact divisors c, or the theta basis zipped with its classes.
+    """
+    for d, f in inputs:
+        weyl = Fraction(d + N // d, 24)
+        base = eta_product(N, d, weyl + prec)
+        for j in range(1, d_max + 1):
+            lifted = borcherds_product(level_u(f, j), j * weyl, prec)
+            yield _failure(_series_witness(lifted.expansion, base.substitute(j)),
+                           N=N, d_class=d, d=j)
 
 
 def _eta_cases(N: int, prec: int):
-    """Borcherds products of the twisted theta functions are eta products."""
+    """Criterion 1: the twisted thetas (c, sigma_c theta), c an exact divisor."""
     theta = theta_series(N, prec * prec)
-    for c in exact_divisors(N):
-        weyl = Fraction(c + N // c, 24)
-        res = borcherds_product(apply_aut(theta, c), weyl, prec)
-        yield _failure(_series_witness(res.expansion,
-                                       eta_product(N, c, weyl + prec)), N=N, c=c)
-
-
-# ----- 2. products of all weight 1/2 basis elements ---------------------
-
-
-def _basis_cases(N: int, prec: int):
-    """Every theta-basis element multiplies out to its eta product."""
-    basis = basis_m_half(N, prec * prec)
-    for d, f in zip(divisor_classes(N), basis):
-        weyl = Fraction(d + N // d, 24)
-        res = borcherds_product(f, weyl, prec)
-        yield _failure(_series_witness(res.expansion,
-                                       eta_product(N, d, weyl + prec)), N=N, d=d)
-
-
-# ----- 3. index-raising substitution ------------------------------------
+    pairs = ((c, apply_aut(theta, c)) for c in exact_divisors(N))
+    return _lift_cases(N, prec, 1, pairs)
 
 
 def _usub_cases(N: int, prec: int, d_max: int):
-    """Raising the index substitutes q -> q^d in the eta product."""
-    basis = basis_m_half(N, prec * prec)
-    for dclass, f in zip(divisor_classes(N), basis):
-        weyl = Fraction(dclass + N // dclass, 24)
-        base = eta_product(N, dclass, weyl + prec)
-        for d in range(1, d_max + 1):
-            lifted = borcherds_product(level_u(f, d), d * weyl, prec)
-            yield _failure(_series_witness(lifted.expansion, base.substitute(d)),
-                           N=N, d_class=dclass, d=d)
+    """Criteria 2 (at d_max = 1) and 3: the theta basis and its divisor classes."""
+    pairs = zip(divisor_classes(N), basis_m_half(N, prec * prec))
+    return _lift_cases(N, prec, d_max, pairs)
 
 
 # ----- 4. operator commutations -----------------------------------------
@@ -129,11 +122,8 @@ def _draw_pdl(rng: random.Random, N: int, op_max: int):
         ps = [p for p in (3, 5, 7) if gcd(p, 2 * N * d * ell) == 1]
         if ps:
             return rng.choice(ps), d, ell
-    d = ell = 1
     ps = [p for p in (3, 5, 7) if gcd(p, 2 * N) == 1]
-    if not ps:
-        return None
-    return rng.choice(ps), d, ell
+    return (rng.choice(ps), 1, 1) if ps else None
 
 
 def _commute_cases(N: int, count: int, op_max: int, trunc: int, seed: int):
@@ -320,7 +310,7 @@ def _fricke_cases(N: int):
 # name -> (case generator, default parameters); n_max bounds the levels.
 SUITES = {
     "eta": (_eta_cases, {"n_max": 50, "prec": 200}),
-    "basis": (_basis_cases, {"n_max": 50, "prec": 200}),
+    "basis": (partial(_usub_cases, d_max=1), {"n_max": 50, "prec": 200}),
     "usub": (_usub_cases, {"n_max": 30, "prec": 200, "d_max": 5}),
     "commute": (_commute_cases, {"n_max": 20, "count": 50, "op_max": 7,
                                  "trunc": 400, "seed": 1}),

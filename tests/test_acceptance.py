@@ -3,9 +3,15 @@
 Each test runs one named verification suite end to end at its default
 parameters and reports a single PASS/FAIL line (visible with ``pytest -s`` or
 on failure).  The suites live in ``weilq.verify`` and are the same ones
-exposed by ``weilq verify``.  The case counts pin the default scale.
+exposed by ``weilq verify``.  The case counts pin the default scale; criteria
+1-3 are also pinned at the scale of the perfbench ``products`` workload and
+must fail every case when the Borcherds product is off by one coefficient.
 """
 
+import pytest
+
+from weilq import verify
+from weilq.fracq import FracSeries
 from weilq.verify import run_suite
 
 CASES = {"eta": 159, "basis": 107, "usub": 290, "commute": 3000, "xi": 960,
@@ -71,3 +77,41 @@ def test_criterion_09_cm_point_degrees_match_class_number_anchors():
 def test_criterion_10_fricke_symmetry_of_the_cusp_data():
     report(10, "cusp classes, orders, and solver output are Fricke "
                "symmetric, level <= 100", "fricke")
+
+
+# criteria 1-3 at the parameters of perfbench's products workload
+LIFT_SCALES = [("eta", {"n_max": 10, "prec": 80}, 23),
+               ("basis", {"n_max": 10, "prec": 80}, 15),
+               ("usub", {"n_max": 8, "prec": 80, "d_max": 3}, 33)]
+
+
+@pytest.mark.parametrize("name, params, cases", LIFT_SCALES,
+                         ids=[name for name, _, _ in LIFT_SCALES])
+def test_lift_case_counts_at_benchmark_scale(name, params, cases):
+    result = run_suite(name, **params)[0]
+    assert result.ok and result.cases == cases
+
+
+@pytest.mark.parametrize("name, params, cases", [
+    ("eta", {"n_max": 6, "prec": 30}, 13),
+    ("basis", {"n_max": 6, "prec": 30}, 8),
+    ("usub", {"n_max": 4, "prec": 30, "d_max": 2}, 10),
+], ids=["eta", "basis", "usub"])
+def test_lift_criteria_fail_every_case_on_a_wrong_product(monkeypatch, name,
+                                                          params, cases):
+    real = verify.borcherds_product
+
+    def off_by_one(f, weyl, prec):
+        # 1 added to the top stored coefficient, inside every compared window
+        res = real(f, weyl, prec)
+        s = res.expansion
+        top = max(s.terms)
+        res.expansion = FracSeries(s.denom, {**s.terms, top: s.terms[top] + 1},
+                                   s.trunc)
+        return res
+
+    monkeypatch.setattr(verify, "borcherds_product", off_by_one)
+    result = run_suite(name, **params)[0]
+    assert result.cases == len(result.failures) == cases
+    for failure in result.failures:
+        assert set(failure) == {"N", "d_class", "d", "witness"}

@@ -168,6 +168,31 @@ class TestCuspDivisor:
         div = eta_divisor(12, 2)
         again = CuspDivisor.from_json(div.to_json())
         assert again.N == div.N and again.orders == div.orders
+        again.validate()
+
+    @pytest.mark.parametrize("N, orders, match", [
+        (6, {1: 0.5}, "order at class 1 has type float, not Fraction"),
+        (6, {1: 1}, "order at class 1 has type int, not Fraction"),
+        (6, {4: F(1)}, "class 4 is not a positive divisor of N = 6"),
+        (6, {1: F(0)}, "stored zero at class 1"),
+        (6.0, {1: F(1)}, "N must be a positive integer, got 6.0"),
+        (0, {}, "N must be a positive integer, got 0"),
+    ], ids=["float", "int", "non-divisor", "zero", "float-level", "zero-level"])
+    def test_validate_rejects(self, N, orders, match):
+        with pytest.raises(ValueError, match=match):
+            CuspDivisor(N, orders).validate()
+
+    def test_validate_accepts_built_divisors(self):
+        for N in (1, 6, 36):
+            for d in divisors(N):
+                eta_divisor(N, d).validate()
+                (eta_divisor(N, d).scaled(F(-2, 3)) + eta_divisor(N, 1)).validate()
+        CuspDivisor.zero(6).validate()
+
+    def test_from_json_checks_the_class_of_a_zero_row(self):
+        assert CuspDivisor.from_json({"N": 6, "orders": [[2, "0"]]}).orders == {}
+        with pytest.raises(ValueError, match="class 5 is not a positive divisor"):
+            CuspDivisor.from_json({"N": 6, "orders": [[5, "0"]]})
 
     def test_fricke_fixed_points_and_involution(self):
         for N in (2, 6, 12, 45):

@@ -237,6 +237,10 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             a.substitute(0)
 
+    def test_substitute_one_is_the_series_itself(self):
+        a = series(2, {1: F(3)}, 5)
+        assert a.substitute(1) is a
+
 
 class TestWindowSoundness:
     """Garbage stored beyond a factor's truncation never reaches the product."""
