@@ -192,6 +192,7 @@ def eta_divisor(N: int, d: int) -> CuspDivisor:
 
 def fricke_image(div: CuspDivisor) -> CuspDivisor:
     """Pullback under the Fricke involution: class c goes to class N/c."""
+    div.validate()
     return CuspDivisor(div.N, {div.N // c: v for c, v in div.orders.items()})
 
 
@@ -230,11 +231,13 @@ def solve_cusp_matching(N: int, target: CuspDivisor):
 
     The unknowns run over divisor classes {d, N/d} and the equations over
     Fricke classes of cusps, giving a square system of size
-    cusp_space_dimension(N).  The target must be Fricke-invariant; a
-    singular matrix would contradict the matching theorem and is reported
-    as such.  The matrix is inverted once per level, so a solve is one
-    integer matrix-vector product and one Fraction per unknown.
+    cusp_space_dimension(N).  A target that fails ``validate()`` or is not
+    Fricke-invariant raises ValueError; a singular matrix would contradict
+    the matching theorem and is reported as such.  The matrix is inverted
+    once per level, so a solve is one integer matrix-vector product and one
+    Fraction per unknown.
     """
+    target.validate()
     if target.N != N:
         raise ValueError("target divisor has the wrong level")
     # d ~ N/d and c ~ N/c have the same representatives, and the smallest

@@ -1,10 +1,10 @@
-"""Exact sparse power series in q with rational exponents.
+"""Exact q-series results with rational exponents, and the Fraction helpers.
 
-A series is a finite map from lattice exponents to rational coefficients
-together with a truncation bound.  Everything is computed with
-``fractions.Fraction``: there is no floating point anywhere in this package,
-so two series are equal exactly when their canonical forms coincide.  This
-is where Fractions begin: integer expansions (Euler transforms, pentagonal
+``FracSeries`` is a finite map from lattice exponents to rational
+coefficients together with a truncation bound, in a canonical form: two
+series are equal exactly when they stand for the same truncated series.
+There is no floating point anywhere in this package.  This is where
+Fractions begin: integer expansions (Euler transforms, pentagonal
 lists) are computed as int lists in ``jacobi`` and enter a series only
 through its constructor, which turns each stored coefficient into a
 Fraction.  An int c with 0 < |c| <= SHARED_BOUND becomes one shared Fraction
@@ -16,7 +16,7 @@ Fraction subclasses and larger ints get a fresh Fraction each.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 
 from .jacobi import pentagonal
 
@@ -95,6 +95,10 @@ def parse_fraction(value) -> Fraction:
 class FracSeries:
     """Truncated series ``sum_e c_e * q^(e/M)`` with exact rational data.
 
+    The output-only result type of ``borcherds_product`` and
+    ``eta_product``, which expand in ints (``jacobi``) and wrap the list
+    here once: it truncates, substitutes, compares, prints and writes JSON.
+
     denom
         positive integer M; exponents live on the lattice (1/M)Z.
     terms
@@ -130,27 +134,7 @@ class FracSeries:
         self.terms = kept
         self.trunc = trunc
 
-    # ----- constructors -------------------------------------------------
-
-    @classmethod
-    def monomial(cls, exponent, coeff, trunc) -> "FracSeries":
-        """The single term ``coeff * q^exponent`` known below ``trunc``."""
-        exponent = _frac(exponent)
-        return cls(exponent.denominator, {exponent.numerator: coeff}, trunc)
-
     # ----- inspection ---------------------------------------------------
-
-    @property
-    def vmin(self) -> Fraction:
-        """Smallest exponent at which the series may be nonzero.
-
-        For a series with stored terms this is the leading exponent; for a
-        series that is zero below its truncation it is the truncation bound
-        itself.  Used for sound truncation bookkeeping under products.
-        """
-        if self.terms:
-            return Fraction(min(self.terms), self.denom)
-        return self.trunc
 
     @property
     def leading_exponent(self):
@@ -164,77 +148,11 @@ class FracSeries:
             return None
         return self.terms[min(self.terms)]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exponent) -> Fraction:
-        """Exact coefficient at a rational exponent below the truncation."""
-        exponent = _frac(exponent)
-        if exponent >= self.trunc:
-            raise ValueError(
-                f"coefficient at {exponent} is beyond the truncation {self.trunc}"
-            )
-        scaled = exponent * self.denom
-        if scaled.denominator != 1:
-            return Fraction(0)
-        return self.terms.get(scaled.numerator, Fraction(0))
-
     def items(self) -> list:
         """Sorted (exponent, coefficient) pairs."""
         return [(Fraction(e, self.denom), self.terms[e]) for e in sorted(self.terms)]
 
-    # ----- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, FracSeries):
-            return NotImplemented
-        M = lcm(self.denom, other.denom)
-        sa, sb = M // self.denom, M // other.denom
-        out = {e * sa: c for e, c in self.terms.items()}
-        for e, c in other.terms.items():
-            add_into(out, e * sb, c)
-        return FracSeries(M, out, min(self.trunc, other.trunc))
-
-    def __neg__(self):
-        return FracSeries(self.denom, {e: -c for e, c in self.terms.items()}, self.trunc)
-
-    def __sub__(self, other):
-        if not isinstance(other, FracSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, FracSeries):
-            # scalar multiple; truncation is unchanged
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return FracSeries(
-                self.denom, {e: c * other for e, c in self.terms.items()}, self.trunc
-            )
-        M = lcm(self.denom, other.denom)
-        sa, sb = M // self.denom, M // other.denom
-        # Sound bound: below it every product coefficient is determined.
-        trunc = min(self.trunc + other.vmin, other.trunc + self.vmin)
-        bound = -(-trunc.numerator * M // trunc.denominator)
-        bs = [(e * sb, c) for e, c in sorted(other.terms.items())]
-        out = {}
-        if bs:
-            b0 = bs[0][0]
-            for ea, ca in sorted(self.terms.items()):
-                ea *= sa
-                if ea + b0 >= bound:
-                    break
-                for eb, cb in bs:
-                    e = ea + eb
-                    if e >= bound:
-                        break
-                    if e in out:
-                        out[e] += ca * cb
-                    else:
-                        out[e] = ca * cb
-        return FracSeries(M, out, trunc)
-
-    __rmul__ = __mul__
+    # ----- truncation and substitution --------------------------------
 
     def truncate(self, trunc) -> "FracSeries":
         """Forget all coefficients at exponents >= trunc."""

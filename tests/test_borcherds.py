@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from series_oracle import (add, coefficient, euler_product, monomial, mul,
+                           scale, sub)
 
 import weilq.verify as verify
 from weilq.borcherds import (ProductResult, borcherds_product, eta_product,
@@ -94,14 +96,12 @@ class TestBorcherdsProduct:
     def test_level_one_is_squared_euler(self):
         # oracle: (q^(1/24) prod (1 - q^n))^2 multiplied out directly
         prec = 60
-        prod = FracSeries(1, {0: F(1)}, prec)
-        for n in range(1, prec + 1):
-            prod = prod * FracSeries(1, {0: F(1), n: F(-1)}, prec)
-        oracle = FracSeries.monomial(F(1, 12), 1, F(1, 12) + prec) * prod * prod
+        prod = euler_product({n: 1 for n in range(1, prec + 1)}, prec)
+        oracle = mul(mul(monomial(F(1, 12), 1, F(1, 12) + prec), prod), prod)
         res = borcherds_product(theta_series(1, prec * prec), F(1, 12), prec)
         bound = min(res.expansion.trunc, oracle.trunc)
-        assert (res.expansion - oracle).truncate(bound).is_zero()
-        head = [res.expansion.coefficient(F(1, 12) + j) for j in range(7)]
+        assert res.expansion.truncate(bound) == oracle.truncate(bound)
+        head = [coefficient(res.expansion, F(1, 12) + j) for j in range(7)]
         assert head == [1, -2, -1, 2, 1, 2, -2]
 
     def test_weight_is_constant_slot(self):
@@ -120,9 +120,9 @@ class TestBorcherdsProduct:
         ra = borcherds_product(a, F(7, 24), prec)
         rb = borcherds_product(b, F(5, 24), prec)
         rsum = borcherds_product(a + b, F(12, 24), prec)
-        prod = ra.expansion * rb.expansion
+        prod = mul(ra.expansion, rb.expansion)
         bound = min(prod.trunc, rsum.expansion.trunc)
-        assert (rsum.expansion - prod).truncate(bound).is_zero()
+        assert rsum.expansion.truncate(bound) == prod.truncate(bound)
 
     def test_explicit_weyl_for_harmonic_input(self):
         f = random_supported(1, F(1, 2), 1, seed=9, trunc=110)
@@ -161,14 +161,14 @@ class TestEulerTransform:
         base = FracSeries(1, {0: F(1), 3: F(-1)}, 40)
         direct = FracSeries(1, {0: F(1)}, 40)
         for _ in range(5):
-            direct = direct * base
+            direct = mul(direct, base)
         assert one_factor(3, 5, 40) == direct.truncate(40)
 
     def test_negative_power_is_inverse(self):
         # (1 - q^2)^-4 times (1 - q^2)^4 multiplied out factor by factor
         prod = one_factor(2, -4, 30)
         for _ in range(4):
-            prod = prod * FracSeries(1, {0: F(1), 2: F(-1)}, 30)
+            prod = mul(prod, FracSeries(1, {0: F(1), 2: F(-1)}, 30))
         assert prod.truncate(30) == FracSeries(1, {0: F(1)}, 30)
 
     def test_rational_power_squares_back(self):
@@ -178,7 +178,7 @@ class TestEulerTransform:
         half = borcherds_product(f, F(5, 48), prec)
         assert F(1, 2) in half.exponents.values()
         whole = borcherds_product(f.scaled(2), F(5, 24), prec)
-        square = half.expansion * half.expansion
+        square = mul(half.expansion, half.expansion)
         assert square.truncate(whole.expansion.trunc) == whole.expansion
 
     def test_exp_log_oracle(self):
@@ -186,14 +186,14 @@ class TestEulerTransform:
         e = F(5, 3)
         prec = 20
         log_term = FracSeries(1, {k: F(-1, k) for k in range(1, prec)}, prec)
-        scaled = log_term * e
+        scaled = scale(log_term, e)
         expo = FracSeries(1, {0: F(1)}, prec)
         power = FracSeries(1, {0: F(1)}, prec)
         fact = 1
         for j in range(1, prec):
-            power = power * scaled
+            power = mul(power, scaled)
             fact *= j
-            expo = expo + power * F(1, fact)
+            expo = add(expo, scale(power, F(1, fact)))
         assert one_factor(1, e, prec) == expo.truncate(prec)
 
 
@@ -246,15 +246,15 @@ class TestProductWindow:
         res = borcherds_product(theta_series(6, 64), F(7, 24), F(15, 2))
         assert res.expansion.trunc == bound
         assert res.expansion == eta_product(6, 1, bound).truncate(bound)
-        assert res.expansion.coefficient(F(7, 24) + 7)
+        assert coefficient(res.expansion, F(7, 24) + 7)
 
 
 class TestEtaProduct:
     def test_squared_eta(self):
         from weilq.fracq import eta_series
 
-        assert eta_product(1, 1, 30) == (eta_series(1, 30) * eta_series(1, 30)
-                                         ).truncate(F(30) + F(1, 24))
+        assert eta_product(1, 1, 30) == mul(eta_series(1, 30), eta_series(1, 30)
+                                            ).truncate(F(30) + F(1, 24))
 
     def test_symmetric(self):
         assert eta_product(6, 2, 25) == eta_product(6, 3, 25)
@@ -301,12 +301,12 @@ class TestSeriesWitness:
     @staticmethod
     def by_difference(got, expected):
         # the witness as read off got - expected, built in every case
-        diff = got - expected
-        if diff.is_zero():
+        diff = sub(got, expected)
+        if not diff.terms:
             return None
         e = diff.leading_exponent
-        return {"exponent": str(e), "expected": str(expected.coefficient(e)),
-                "got": str(got.coefficient(e))}
+        return {"exponent": str(e), "expected": str(coefficient(expected, e)),
+                "got": str(coefficient(got, e))}
 
     def test_difference_beyond_the_window_is_none(self):
         a = FracSeries(24, {1: F(1), 25: F(-1), 49: F(2)}, F(2))
@@ -340,6 +340,17 @@ class TestSeriesWitness:
         c = FracSeries(24, {2: F(1), 26: F(-2), 27: F(5)}, F(3))
         assert _series_witness(a, c) == self.by_difference(a, c) == {
             "exponent": "9/8", "expected": "5", "got": "0"}
+
+    def test_difference_stored_on_one_side_of_the_finer_lattice(self):
+        # got stores q^(5/24), off (1/12)Z; expected, on (1/12)Z, stores
+        # nothing there, and the two also differ later at q^(13/12)
+        got = FracSeries(24, {2: F(1), 5: F(-3, 2), 26: F(-2)}, F(2))
+        expected = FracSeries(12, {1: F(1), 13: F(-1)}, F(3))
+        assert (got.denom, expected.denom) == (24, 12)
+        assert _series_witness(got, expected) == self.by_difference(
+            got, expected) == {"exponent": "5/24", "expected": "0", "got": "-3/2"}
+        assert _series_witness(expected, got) == self.by_difference(
+            expected, got) == {"exponent": "5/24", "expected": "-3/2", "got": "0"}
 
     def test_suite_witnesses_unchanged(self):
         # c = d passes and c != d fails, as in the eta suite's cases

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from math import ceil
 
 import pytest
+from series_oracle import euler_product, monomial, mul
 from test_vvforms import reference_json
 
 import weilq
@@ -18,9 +19,8 @@ from weilq.borcherds import ProductResult, exponent_table
 from weilq.cli import _csv, _dump, main
 from weilq.discform import divisors, exact_divisors
 from weilq.divisors import eta_divisor
-from weilq.fracq import FracSeries, eta_series
+from weilq.fracq import eta_series
 from weilq.heckeops import hecke_tp
-from weilq.jacobi import euler_transform
 from weilq.vvforms import (VVExpansion, apply_aut, random_supported,
                            theta_series)
 
@@ -163,12 +163,9 @@ class TestFractionRoute:
 
     @staticmethod
     def product_route(f, weyl, prec):
-        # monomial times the Euler transform as a FracSeries, as multiplied
-        # out before the integer kernel
+        # monomial times the factors, multiplied out one by one in Fractions
         table = exponent_table(f, ceil(prec) - 1)
-        prod = FracSeries(1, dict(enumerate(euler_transform(table, ceil(prec)))),
-                          prec)
-        expansion = FracSeries.monomial(weyl, 1, weyl + prec) * prod
+        expansion = mul(monomial(weyl, 1, weyl + prec), euler_product(table, prec))
         result = ProductResult(f.holo.get((0, 0), F(0)), weyl, expansion, table)
         csv = _csv(sorted(table.items()), header=("n", "exponent"))
         return _dump(result.to_json()), csv
@@ -179,7 +176,7 @@ class TestFractionRoute:
             for prec in (1, 2, 5, 40):
                 code, out, err = run(capsys, ["eta", "--N", str(N), "--d", str(d),
                                               "--prec", str(prec)])
-                want = eta_series(d, F(prec)) * eta_series(N // d, F(prec))
+                want = mul(eta_series(d, F(prec)), eta_series(N // d, F(prec)))
                 assert (code, err) == (0, "")
                 assert out == _dump(want.to_json()), (N, d, prec)
 

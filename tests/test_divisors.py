@@ -203,6 +203,11 @@ class TestCuspDivisor:
         assert fricke_image(skew).orders == {6: F(2), 1: F(5)}
         assert fricke_image(fricke_image(skew)).orders == skew.orders
 
+    def test_fricke_image_validates_its_divisor(self):
+        # class 4 does not divide 6; unchecked, it would map to class 1
+        with pytest.raises(ValueError, match="class 4 is not a positive divisor"):
+            fricke_image(CuspDivisor(6, {4: 1}))
+
 
 class TestMatching:
     def test_dimension(self):
@@ -224,6 +229,11 @@ class TestMatching:
         target = CuspDivisor(6, {1: F(1)})
         with pytest.raises(ValueError, match="Fricke"):
             solve_cusp_matching(6, target)
+
+    def test_rejects_float_orders(self):
+        # unchecked, the floats would solve to [7/2, -5/2]
+        with pytest.raises(ValueError, match="type float, not Fraction"):
+            solve_cusp_matching(6, CuspDivisor(6, {1: 0.5, 6: 0.5}))
 
     def test_rejects_wrong_level(self):
         with pytest.raises(ValueError, match="level"):

@@ -5,32 +5,17 @@ from fractions import Fraction as F
 from math import ceil
 
 import pytest
+from series_oracle import coefficient, euler_product, mul
 
 from weilq.borcherds import eta_product
-from weilq.fracq import FracSeries, eta_series
+from weilq.fracq import eta_series
 from weilq.jacobi import euler_transform, mul_trunc, pentagonal
 
 
-def factor_power(n, c, size):
-    """(1 - q^n)^c below q^size as a FracSeries, by the binomial series.
-
-    binom(c, j) (-1)^j at q^(n j): a finite sum for c a non-negative
-    integer, the generalized binomial series for any other rational c.
-    """
-    terms, coeff, j = {}, F(1), 0
-    while n * j < size and coeff:
-        terms[n * j] = coeff
-        coeff = -coeff * (c - j) / (j + 1)
-        j += 1
-    return FracSeries(1, terms, size)
-
-
 def factor_by_factor(table, size):
-    """prod (1 - q^n)^table[n] below q^size, one FracSeries product per factor."""
-    prod = FracSeries(1, {0: 1}, size)
-    for n, c in table.items():
-        prod = prod * factor_power(n, F(c), size)
-    return [prod.coefficient(m) for m in range(size)]
+    """prod (1 - q^n)^table[n] below q^size as a list, from series_oracle."""
+    prod = euler_product(table, size)
+    return [coefficient(prod, m) for m in range(size)]
 
 
 class TestEulerTransform:
@@ -152,22 +137,29 @@ class TestEtaProductOracle:
     def test_equals_eta_series_product(self, N, d):
         e = N // d
         for T in self.PRECS:
-            want = eta_series(d, T) * eta_series(e, T)
+            want = mul(eta_series(d, T), eta_series(e, T))
             got = eta_product(N, d, T)
             assert got == want, (N, d, T)
             assert got.trunc == T + min(F(min(d, e), 24), T)
 
     def test_both_factors_empty(self):
         # eta(25z) and eta(25z) start at q^(25/24), past T = 1
-        assert eta_series(25, 1).is_zero()
+        assert not eta_series(25, 1).terms
         got = eta_product(625, 25, 1)
-        assert got.is_zero() and got.trunc == 2
-        assert got == eta_series(25, 1) * eta_series(25, 1)
+        assert not got.terms and got.trunc == 2
+        assert got == mul(eta_series(25, 1), eta_series(25, 1))
 
     @pytest.mark.parametrize("prec", [0, -5, F(-1, 3)])
     def test_nonpositive_prec_rejected(self, prec):
         with pytest.raises(ValueError, match="prec must be positive"):
             eta_product(6, 2, prec)
+
+    def test_eta_series_window_is_sound(self):
+        # eta_series(d, T) is exact below T: it is the same series known to
+        # T + 30, truncated back to T
+        for d in sorted({k for N, d in self.GRID for k in (d, N // d)}):
+            for T in self.PRECS:
+                assert eta_series(d, T) == eta_series(d, T + 30).truncate(T), (d, T)
 
     def test_window_is_sound(self):
         # every coefficient below the window is the true one: compare with
