@@ -6,8 +6,8 @@ Run with ``python3 demos/divisor_matching.py``.
 
 from fractions import Fraction
 
-from weilq import (cusp_classes, cusp_space_dimension, divisor_classes,
-                   eta_divisor, eta_order, fricke_image, heegner_degree,
+from weilq import (CuspDivisor, cusp_classes, cusp_space_dimension,
+                   divisor_classes, eta_order, fricke_image, heegner_degree,
                    index_gamma0, solve_cusp_matching)
 
 
@@ -45,7 +45,8 @@ print(f"every row has total degree index/12 = {Fraction(index_gamma0(N), 12)}")
 banner("solving the matching system")
 dim = cusp_space_dimension(N)
 print(f"matching space dimension: {dim} (= number of divisor classes)")
-target = eta_divisor(N, 2).scaled(Fraction(1, 3)) + eta_divisor(N, 6)
+target = CuspDivisor(N, {c: Fraction(1, 3) * eta_order(N, 2, c)
+                         + eta_order(N, 6, c) for c in cs})
 assert fricke_image(target).orders == target.orders
 x = solve_cusp_matching(N, target)
 print("target: (1/3) * div(class 2) + div(class 6)")

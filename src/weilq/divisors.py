@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm
 
 from ._linalg import InconsistentSystem, SingularSystem, solve_exact
 from .discform import divisor_classes, divisors, euler_phi, index_gamma0
-from .fracq import Record, add_into, parse_fraction
+from .fracq import Record, parse_fraction
 
 
 class MatchingError(ValueError):
@@ -103,45 +103,15 @@ def _check_classes(N: int, classes) -> None:
 class CuspDivisor(Record):
     """Rational divisor supported on cusp classes: one order per c | N.
 
-    A plain class, not a dataclass (see fracq.Record).
+    The validated value and JSON type of a cusp divisor; it carries no
+    arithmetic.  Callers that form sums of eta-product divisors add up
+    eta_order(N, d, c) themselves.  A plain class, not a dataclass (see
+    fracq.Record).
     """
 
     def __init__(self, N: int, orders: dict) -> None:
         self.N = N
         self.orders = orders
-
-    @classmethod
-    def zero(cls, N: int) -> "CuspDivisor":
-        return cls(N, {})
-
-    def order(self, c: int) -> Fraction:
-        return self.orders.get(c, Fraction(0))
-
-    def degree(self) -> Fraction:
-        """Sum of orders weighted by the number of cusps in each class."""
-        total = Fraction(0)
-        for cl in cusp_classes(self.N):
-            total += cl.orbit_size * self.order(cl.c)
-        return total
-
-    def __add__(self, other):
-        if not isinstance(other, CuspDivisor):
-            return NotImplemented
-        if self.N != other.N:
-            raise ValueError("cannot add divisors of different level")
-        orders = dict(self.orders)
-        for c, v in other.orders.items():
-            add_into(orders, c, v)
-        return CuspDivisor(self.N, orders)
-
-    def scaled(self, factor) -> "CuspDivisor":
-        """factor * self for an int or Fraction factor; any other raises TypeError."""
-        if not isinstance(factor, (int, Fraction)):
-            raise TypeError(f"scale factor must be an int or a Fraction, "
-                            f"not {type(factor).__name__}")
-        if factor == 0:
-            return CuspDivisor(self.N, {})
-        return CuspDivisor(self.N, {c: factor * v for c, v in self.orders.items()})
 
     def to_json(self) -> dict:
         return {"N": self.N,

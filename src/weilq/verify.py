@@ -219,7 +219,7 @@ def _cusp_cases(N: int, seed: int):
                 for i in range(len(classes))]
         yield None if x == unit else {"N": N, "check": "unit", "d": d,
                                       "got": [str(v) for v in x]}
-    zero = solve_cusp_matching(N, CuspDivisor.zero(N))
+    zero = solve_cusp_matching(N, CuspDivisor(N, {}))
     yield None if zero == [Fraction(0)] * dim else {"N": N, "check": "zero"}
     rng = random.Random(seed * 1000003 + N)
     orders = {}
@@ -234,12 +234,15 @@ def _cusp_cases(N: int, seed: int):
     except ValueError as exc:
         yield {"N": N, "check": "round-trip", "error": str(exc)}
         return
-    rebuilt = CuspDivisor.zero(N)
-    for v, d in zip(x, classes):
-        rebuilt = rebuilt + eta_divisor(N, d).scaled(v)
-    yield None if rebuilt.orders == target.orders else {
+    rebuilt = {}
+    for c in divisors(N):
+        total = sum((v * eta_order(N, d, c) for v, d in zip(x, classes)),
+                    Fraction(0))
+        if total:
+            rebuilt[c] = total
+    yield None if rebuilt == target.orders else {
         "N": N, "check": "round-trip", "expected": target.to_json(),
-        "got": rebuilt.to_json()}
+        "got": CuspDivisor(N, rebuilt).to_json()}
 
 
 # ----- 8. divisor degree law --------------------------------------------

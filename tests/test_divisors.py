@@ -4,13 +4,15 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import gcd, prod
 
 import pytest
 
 import weilq.divisors as divisors_module
+import weilq.verify as verify_module
 from weilq._linalg import solve_exact
-from weilq.discform import divisor_classes, divisors, euler_phi, index_gamma0
+from weilq.discform import (divisor_classes, divisors, euler_phi, index_gamma0,
+                            prime_factors)
 from weilq.divisors import (CuspDivisor, MatchingError, _coset_reps,
                             _degrees_by_root, _matching_inverse, _order_table,
                             _proj_automorph_order, cusp_classes,
@@ -18,6 +20,19 @@ from weilq.divisors import (CuspDivisor, MatchingError, _coset_reps,
                             fricke_image, heegner_degree, reduced_forms,
                             solve_cusp_matching)
 from weilq.heckeops import legendre
+
+
+def eta_combination(N: int, coeffs: dict) -> CuspDivisor:
+    """The divisor of prod_d eta-product(d)^(x_d) for coeffs {d: x_d}.
+
+    Built class by class from the Ligozat orders, zero sums dropped.
+    """
+    orders = {}
+    for c in divisors(N):
+        v = sum((x * eta_order(N, d, c) for d, x in coeffs.items()), F(0))
+        if v:
+            orders[c] = v
+    return CuspDivisor(N, orders)
 
 
 def hurwitz_oracle(D: int) -> F:
@@ -139,31 +154,6 @@ class TestEtaOrders:
 
 
 class TestCuspDivisor:
-    def test_degree(self):
-        div = eta_divisor(9, 1)
-        assert div.degree() == F(index_gamma0(9), 12)
-
-    def test_add_scale_zero(self):
-        a = eta_divisor(6, 1)
-        b = eta_divisor(6, 2)
-        s = a + b.scaled(-1)
-        assert (s + b).orders == a.orders
-        assert a.scaled(0).orders == {}
-        assert CuspDivisor.zero(6).degree() == 0
-
-    def test_scale_factor_must_be_exact(self):
-        div = eta_divisor(6, 2)
-        with pytest.raises(TypeError, match="int or a Fraction"):
-            div.scaled(0.5)
-        for factor in (2, -3, F(1, 2), F(-4, 9)):
-            assert div.scaled(factor).orders == {c: factor * v
-                                                 for c, v in div.orders.items()}
-        assert div.scaled(F(0)).orders == {}
-
-    def test_add_level_mismatch(self):
-        with pytest.raises(ValueError):
-            eta_divisor(6, 1) + eta_divisor(12, 1)
-
     def test_json_round_trip(self):
         div = eta_divisor(12, 2)
         again = CuspDivisor.from_json(div.to_json())
@@ -186,8 +176,8 @@ class TestCuspDivisor:
         for N in (1, 6, 36):
             for d in divisors(N):
                 eta_divisor(N, d).validate()
-                (eta_divisor(N, d).scaled(F(-2, 3)) + eta_divisor(N, 1)).validate()
-        CuspDivisor.zero(6).validate()
+                eta_combination(N, {d: F(-2, 3), 1: F(1)}).validate()
+        CuspDivisor(6, {}).validate()
 
     def test_from_json_checks_the_class_of_a_zero_row(self):
         assert CuspDivisor.from_json({"N": 6, "orders": [[2, "0"]]}).orders == {}
@@ -223,7 +213,7 @@ class TestMatching:
                 assert x == [F(int(i == j)) for i in range(len(classes))]
 
     def test_zero_target(self):
-        assert solve_cusp_matching(12, CuspDivisor.zero(12)) == [F(0)] * 3
+        assert solve_cusp_matching(12, CuspDivisor(12, {})) == [F(0)] * 3
 
     def test_rejects_non_fricke_invariant(self):
         target = CuspDivisor(6, {1: F(1)})
@@ -237,16 +227,14 @@ class TestMatching:
 
     def test_rejects_wrong_level(self):
         with pytest.raises(ValueError, match="level"):
-            solve_cusp_matching(6, CuspDivisor.zero(12))
+            solve_cusp_matching(6, CuspDivisor(12, {}))
 
     def test_reconstruction(self):
         N = 36
-        target = (eta_divisor(N, 2).scaled(F(1, 3))
-                  + eta_divisor(N, 6).scaled(-2))
+        target = eta_combination(N, {2: F(1, 3), 6: F(-2)})
         x = solve_cusp_matching(N, target)
-        rebuilt = CuspDivisor.zero(N)
-        for v, d in zip(x, divisor_classes(N)):
-            rebuilt = rebuilt + eta_divisor(N, d).scaled(v)
+        assert x == [F(0), F(1, 3), F(0), F(0), F(-2)]
+        rebuilt = eta_combination(N, dict(zip(divisor_classes(N), x)))
         assert rebuilt.orders == target.orders
 
     def test_agrees_with_solve_exact(self):
@@ -264,7 +252,7 @@ class TestMatching:
                     if rng.random() < 0.8:
                         orders[c] = orders[N // c] = v
                 targets.append(CuspDivisor(N, orders))
-            sol, den = solve_exact(rows, [[t.order(c) for t in targets]
+            sol, den = solve_exact(rows, [[t.orders.get(c, 0) for t in targets]
                                           for c in classes])
             for j, target in enumerate(targets):
                 x = solve_cusp_matching(N, target)
@@ -280,7 +268,7 @@ class TestMatching:
         try:
             for _ in range(2):
                 with pytest.raises(MatchingError) as info:
-                    solve_cusp_matching(6, CuspDivisor.zero(6))
+                    solve_cusp_matching(6, CuspDivisor(6, {}))
                 assert str(info.value) == (
                     "matching matrix at level 6 is singular; this contradicts "
                     "the cusp-matching theorem (inconsistent linear system "
@@ -288,6 +276,24 @@ class TestMatching:
             assert _matching_inverse.cache_info().currsize == 0
         finally:
             _matching_inverse.cache_clear()
+
+    def test_round_trip_oracle_catches_a_wrong_solve(self, monkeypatch):
+        solve = verify_module.solve_cusp_matching
+
+        def off_by_one(N, target):
+            x = solve(N, target)
+            return [x[0] + 1] + x[1:]
+
+        monkeypatch.setattr(verify_module, "solve_cusp_matching", off_by_one)
+        for N in (6, 12, 36):
+            fails = [f for f in verify_module._cusp_cases(N, seed=1)
+                     if f and f["check"] == "round-trip"]
+            assert len(fails) == 1, N
+            fail = fails[0]
+            assert set(fail) == {"N", "check", "expected", "got"}
+            assert fail["got"] != fail["expected"]
+            for side in ("expected", "got"):
+                assert CuspDivisor.from_json(fail[side]).N == N
 
 
 class TestCaches:
@@ -460,3 +466,56 @@ class TestHeegnerDegree:
             with pytest.raises(ValueError, match="N must be a positive"):
                 heegner_degree(N, -3, 0)
 
+
+def kronecker(D: int, p: int) -> int:
+    """Kronecker symbol (D/p) for a discriminant D and a prime p."""
+    if p == 2:
+        return 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+    return legendre(D, p)
+
+
+class TestFrickeQuotientGenus:
+    """Genera of X_0(N) and X_0(N)/w_N at squarefree levels 5 <= N <= 1000.
+
+    g = 1 + mu/12 - nu_2/4 - nu_3/3 - nu_inf/2 with nu_inf read from the
+    cusp classes, and Riemann-Hurwitz for the Fricke involution, whose
+    fixed points at N > 4 number the Hurwitz class number H(4N), read as
+    heegner_degree(1, -4N, 0): g+ = (2g + 2 - H(4N)) / 4.  Both must be
+    integers >= 0, and the genus 0 levels and the primes with g+ = 1, 2 are
+    the classical lists.
+    """
+
+    def genera(self):
+        out = {}
+        for N in range(5, 1001):
+            primes = prime_factors(N)
+            if prod(primes) != N:
+                continue
+            nu2 = prod(1 + kronecker(-4, p) for p in primes)
+            nu3 = prod(1 + kronecker(-3, p) for p in primes)
+            cusps = sum(cl.orbit_size for cl in cusp_classes(N))
+            g = (1 + F(index_gamma0(N), 12) - F(nu2, 4) - F(nu3, 3)
+                 - F(cusps, 2))
+            g_plus = (2 * g + 2 - heegner_degree(1, -4 * N, 0)) / 4
+            out[N] = (g, g_plus)
+        return out
+
+    def test_genera_are_integers(self):
+        genera = self.genera()
+        assert len(genera) == 605
+        for N, (g, g_plus) in genera.items():
+            assert g.denominator == 1 and g >= 0, (N, g)
+            assert g_plus.denominator == 1 and g_plus >= 0, (N, g_plus)
+
+    def test_classical_lists(self):
+        genera = self.genera()
+        assert [N for N, (g, _) in genera.items() if g == 0] == [
+            5, 6, 7, 10, 13]
+        assert [N for N, (_, g_plus) in genera.items() if g_plus == 0] == [
+            5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 23, 26, 29, 31, 35, 39,
+            41, 47, 59, 71]
+        primes = [N for N in genera if prime_factors(N) == [N]]
+        assert [N for N in primes if genera[N][1] == 1] == [
+            37, 43, 53, 61, 79, 83, 89, 101, 131]
+        assert [N for N in primes if genera[N][1] == 2] == [
+            67, 73, 103, 107, 167, 191]

@@ -6,7 +6,7 @@ The ring arithmetic the tests multiply series out with lives in
 
 import random
 from fractions import Fraction as F
-from math import ceil, gcd
+from math import ceil
 
 import pytest
 from series_oracle import (add, coefficient, euler_product, monomial, mul,

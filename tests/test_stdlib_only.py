@@ -1,6 +1,7 @@
 """The package imports only the standard library and itself, and importing
 its CLI loads neither dataclasses nor typing nor the inspect, ast and dis
-modules that they pull in, nor builds a shared small-int Fraction.
+modules that they pull in, nor builds a shared small-int Fraction.  No
+module of the package, its tests or its demos imports a name it never uses.
 """
 
 import ast
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weilq"
+ROOT = SRC.parent.parent
 
 
 def test_every_absolute_import_is_stdlib_or_weilq():
@@ -45,3 +47,44 @@ def test_cli_import_builds_no_shared_fractions():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0"]
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports but never reads, in the order imported.
+
+    A name counts as read when it appears as a bare name anywhere in the
+    module, or in its ``__all__`` list; ``from __future__`` imports are
+    directives, not names.
+    """
+    tree = ast.parse(source)
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_scan_sees_a_stale_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport json as j\n"
+              "from .fracq import Record, add_into\n"
+              "from .x import exported\n__all__ = ['exported']\n"
+              "class A(Record):\n    pass\n")
+    assert unused_imports(source) == ["os", "j", "add_into"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "demos").glob("*.py")]
+    assert len(files) > 20
+    unused = [(path.relative_to(ROOT).as_posix(), name) for path in sorted(files)
+              for name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert not unused

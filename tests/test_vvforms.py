@@ -4,7 +4,6 @@ import json
 import random
 import re
 from fractions import Fraction as F
-from math import gcd, isqrt
 
 import pytest
 from test_linalg import dense_solve, outcome
@@ -13,7 +12,7 @@ from weilq import vvforms
 from weilq._linalg import InconsistentSystem
 from weilq.borcherds import borcherds_product
 from weilq.cli import _dump
-from weilq.discform import atkin_lehner, divisor_classes, exact_divisors
+from weilq.discform import atkin_lehner, exact_divisors
 from weilq.heckeops import hecke_tp, level_u, level_v
 from weilq.verify import run_suite
 from weilq.vvforms import (DecompositionError, VVExpansion, apply_aut,
