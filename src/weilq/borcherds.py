@@ -16,7 +16,7 @@ from math import ceil
 
 from .discform import divisor_classes
 from .fracq import FracSeries, Record
-from .jacobi import euler_transform, mul_trunc, pentagonal
+from .jacobi import eta_pair, euler_transform
 from .vvforms import VVExpansion, basis_m_half, decompose
 
 
@@ -136,5 +136,5 @@ def eta_product(N: int, d: int, prec) -> FracSeries:
     e = N // d
     trunc = prec + min(Fraction(min(d, e), 24), prec)
     size = max(ceil(trunc - Fraction(d + e, 24)), 0)
-    coeffs = mul_trunc(pentagonal(d, size), pentagonal(e, size), size)
+    coeffs = eta_pair(d, e, size)
     return FracSeries(24, {d + e + 24 * n: c for n, c in enumerate(coeffs)}, trunc)

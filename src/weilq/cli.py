@@ -146,7 +146,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     return _dump(payload), 0 if ok else 1
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
@@ -235,7 +235,8 @@ def main(argv=None) -> int:
         result = args.fn(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
         _emit(text, args.out)  # an unwritable --out is an OSError: exit 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2
     return code

@@ -264,7 +264,7 @@ def _proj_automorph_order(a: int, b: int, c: int) -> int:
     return 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _coset_reps(N: int):
     """Matrices (a, b, c, d) of SL2(Z), one per left coset of level N.
 
@@ -292,7 +292,7 @@ def _coset_reps(N: int):
     return tuple(reps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _degrees_by_root(N: int, n: int) -> dict:
     """Degrees, in sixths, of disc n at level N for all roots gamma mod 2N.
 

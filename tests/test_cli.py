@@ -323,6 +323,14 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "prec must be positive"}
 
+    def test_eta_precision_past_any_list(self, capsys):
+        # the window is too long to index, so the list is never allocated
+        code, out, err = run(capsys, ["eta", "--N", "1", "--d", "1", "--prec",
+                                      "100000000000000000000000"])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "index-sized" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("level", ["-3", "0"])
     def test_theta_nonpositive_level(self, capsys, level):
         code, out, err = run(capsys, ["theta", "--N", level])

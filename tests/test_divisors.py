@@ -1,20 +1,23 @@
 """Cusp classes, eta-product divisors, matching solver, CM-point degrees."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 from fractions import Fraction as F
 from math import gcd, prod
 
 import pytest
 
+import weilq
 import weilq.divisors as divisors_module
 import weilq.verify as verify_module
 from weilq._linalg import solve_exact
 from weilq.discform import (divisor_classes, divisors, euler_phi, index_gamma0,
                             prime_factors)
 from weilq.divisors import (CuspDivisor, MatchingError, _coset_reps,
-                            _degrees_by_root, _matching_inverse, _order_table,
+                            _degrees_by_root, _matching_inverse,
                             _proj_automorph_order, cusp_classes,
                             cusp_space_dimension, eta_divisor, eta_order,
                             fricke_image, heegner_degree, reduced_forms,
@@ -312,8 +315,21 @@ class TestCaches:
         assert solve_cusp_matching(12, eta_divisor(12, 2)) == [F(0), F(1), F(0)]
 
     def test_caches_are_bounded(self):
-        for cached in (_order_table, _matching_inverse):
-            assert cached.cache_info().maxsize is not None
+        # every memo of every weilq module, except heegner_degree's: the
+        # benchmark's cold-cache gate reads that one (ROADMAP item 6)
+        caches = {}
+        for info in pkgutil.iter_modules(weilq.__path__):
+            module = importlib.import_module(f"weilq.{info.name}")
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_info"):
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
+        assert {"weilq.divisors._order_table", "weilq.divisors._coset_reps",
+                "weilq.jacobi._euler_recurrence", "weilq.jacobi._eta_pair",
+                "weilq.heckeops._tp_factors", "weilq.cli._build_parser"
+                } <= set(caches)
+        unbounded = {name for name, cached in caches.items()
+                     if cached.cache_info().maxsize is None}
+        assert unbounded == {"weilq.divisors.heegner_degree"}
 
 
 class TestReducedForms:

@@ -9,7 +9,8 @@ from series_oracle import coefficient, euler_product, mul
 
 from weilq.borcherds import eta_product
 from weilq.fracq import eta_series
-from weilq.jacobi import euler_transform, mul_trunc, pentagonal
+from weilq.jacobi import (_eta_pair, _euler_recurrence, euler_transform,
+                          mul_trunc, pentagonal)
 
 
 def factor_by_factor(table, size):
@@ -85,6 +86,48 @@ class TestEulerTransformLattice:
         got = euler_transform({g * n: F(1) for n in range(1, size)}, size)
         assert got == pentagonal(g, size)
         assert all(type(x) is int for x in got)
+
+
+class TestMemos:
+    """The per-process memos under euler_transform and eta_product."""
+
+    def test_returned_list_is_a_copy(self):
+        _euler_recurrence.cache_clear()
+        table = {1: F(1), 3: F(-2)}
+        got = euler_transform(table, 12)
+        want = list(got)
+        got[0] = 99
+        got.append(7)
+        assert euler_transform(table, 12) == want
+        assert _euler_recurrence.cache_info().hits == 1
+
+    def test_stride_is_not_part_of_the_key(self):
+        # prod (1 - q^2) (1 - q^4)^3 below q^20 is F(q^2) for
+        # F = (1 - q) (1 - q^2)^3 below q^10: one recurrence for both
+        _euler_recurrence.cache_clear()
+        spread = {2: F(1), 4: F(3)}
+        assert euler_transform(spread, 20) == factor_by_factor(spread, 20)
+        info = _euler_recurrence.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        inner = {1: F(1), 2: F(3)}
+        assert euler_transform(inner, 10) == factor_by_factor(inner, 10)
+        info = _euler_recurrence.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_denominator_is_part_of_the_key(self):
+        # the two tables differ only in the denominator of one exponent
+        _euler_recurrence.cache_clear()
+        integral, rational = {1: F(2), 3: F(1)}, {1: F(2), 3: F(1, 2)}
+        for table in (integral, rational, integral):
+            assert euler_transform(table, 20) == factor_by_factor(table, 20)
+        info = _euler_recurrence.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_eta_product_of_d_and_its_complement_is_one_pair(self):
+        _eta_pair.cache_clear()
+        assert eta_product(12, 3, 5) == eta_product(12, 4, 5)
+        info = _eta_pair.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestPentagonal:
