@@ -3,10 +3,12 @@
 One fraction-free Gauss-Jordan sweep in Python ints with no pivot-size
 strategy: what matters is exactness and precise failure reporting.  The
 sweep reads augmented equations in order, so the first one that contradicts
-those before it is known the moment it is read.  Each is scaled to coprime
-integers and an exact repeat is skipped, since the systems solved here have
-a dozen or so columns and up to a few thousand sparse rows, most of them
-repeats; each pivot row is subtracted through its nonzero entries only.
+those before it is known the moment it is read.  An equation whose entries,
+read as (numerator, denominator) pairs, repeat an earlier one is skipped
+before any scaling, since the systems solved here have a dozen or so columns
+and up to a few thousand sparse rows, most of them exact repeats; every other
+one is scaled to coprime integers, so a proportional copy reduces to zero,
+and each pivot row is subtracted through its nonzero entries only.
 
 ``solve_exact`` is the one solve: it sweeps [M | B] once for all k columns
 of B, so a coefficient matrix that recurs with many right-hand sides is
@@ -16,7 +18,6 @@ against the identity, and a theta basis against every target at once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -51,24 +52,25 @@ def _sweep(eqs, ncols: int) -> dict:
     """Gauss-Jordan over augmented equations, read in order.
 
     Each equation holds ncols coefficients followed by its right-hand sides,
-    as ints or Fractions.  Returns {column: pivot row} of integer rows, each
-    zero in every other pivot column.  Raises InconsistentSystem(i) for the
-    first equation i whose coefficients reduce to zero while a right-hand
-    side does not.
+    as ints or Fractions, each read as its (numerator, denominator) pair.
+    An equation whose pairs repeat an earlier one's is skipped before it is
+    scaled to coprime integers.  Returns {column: pivot row} of integer
+    rows, each zero in every other pivot column.  Raises
+    InconsistentSystem(i) for the first equation i whose coefficients
+    reduce to zero while a right-hand side does not.
     """
     seen = set()
     pivots = {}
     for i, eq in enumerate(eqs):
-        ratios = [(v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
-                  for v in eq]
-        den = lcm(*[d for _, d in ratios])
-        ints = [n * (den // d) for n, d in ratios]
-        g = gcd(*ints)
-        eq = tuple([v // g for v in ints]) if g > 1 else tuple(ints)
-        if eq in seen:
+        ratios = tuple([v.as_integer_ratio() for v in eq])
+        if ratios in seen:
             continue
-        seen.add(eq)
-        eq = list(eq)
+        seen.add(ratios)
+        den = lcm(*[d for _, d in ratios])
+        eq = [n * (den // d) for n, d in ratios]
+        g = gcd(*eq)
+        if g > 1:
+            eq = [v // g for v in eq]
         for col, pivot in pivots.items():
             if eq[col]:
                 eq = _clear(eq, col, pivot)

@@ -239,6 +239,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2
+    except MemoryError:  # a window too long to allocate is bad input too
+        sys.stderr.write(_dump({"error": "out of memory"}))
+        return 2
     return code
 
 

@@ -255,6 +255,12 @@ def reduced_forms(disc: int) -> list:
     return forms
 
 
+@lru_cache(maxsize=256)
+def _reduced_forms(disc: int) -> tuple:
+    """reduced_forms(disc) as a tuple, kept for the walks of many levels."""
+    return tuple(reduced_forms(disc))
+
+
 def _proj_automorph_order(a: int, b: int, c: int) -> int:
     """Order of the projective automorphism group of a reduced form."""
     if a == b == c:
@@ -293,18 +299,34 @@ def _coset_reps(N: int):
 
 
 @lru_cache(maxsize=256)
+def _coset_monomials(N: int) -> tuple:
+    """Per matrix (a, b, c, d) of _coset_reps(N), the monomials of a translate.
+
+    The form (A, B, C) moved by the matrix has first coefficient
+    A a^2 + B ac + C c^2 and middle one A 2ab + B (ad + bc) + C 2cd; each
+    row holds the first three monomials mod N and the last three mod 2N.
+    """
+    two_n = 2 * N
+    return tuple((a * a % N, a * c % N, c * c % N, 2 * a * b % two_n,
+                  (a * d + b * c) % two_n, 2 * c * d % two_n)
+                 for a, b, c, d in _coset_reps(N))
+
+
+@lru_cache(maxsize=256)
 def _degrees_by_root(N: int, n: int) -> dict:
     """Degrees, in sixths, of disc n at level N for all roots gamma mod 2N.
 
-    Each reduced form of disc n is moved by every matrix of _coset_reps(N);
-    a translate with N | A' adds to the bin of its B' mod 2N.
+    Each reduced form (A, B, C) of disc n is moved by every matrix of
+    _coset_reps(N), read as its row of _coset_monomials(N): a translate
+    with N | A' adds to the bin of its B' mod 2N, and each coefficient
+    costs three products.
     """
     bins, two_n = {}, 2 * N
-    for (A, B, C) in reduced_forms(n):
+    for (A, B, C) in _reduced_forms(n):
         sixths = 6 // _proj_automorph_order(A, B, C)
-        for a, b, c, d in _coset_reps(N):
-            if (A * a * a + B * a * c + C * c * c) % N == 0:
-                g = (2 * A * a * b + B * (a * d + b * c) + 2 * C * c * d) % two_n
+        for aa, ac, cc, ab, adbc, cd in _coset_monomials(N):
+            if (A * aa + B * ac + C * cc) % N == 0:
+                g = (A * ab + B * adbc + C * cd) % two_n
                 bins[g] = bins.get(g, 0) + sixths
     return bins
 

@@ -331,6 +331,18 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert "index-sized" in json.loads(err)["error"]
 
+    def test_eta_precision_past_memory(self, capsys, monkeypatch):
+        # a window that fits an index but not memory; the allocation is
+        # stood in for, so the test allocates nothing large
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr("weilq.cli.eta_product", exhausted)
+        code, out, err = run(capsys, ["eta", "--N", "1", "--d", "1", "--prec",
+                                      "10000000000"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "out of memory"}
+
     @pytest.mark.parametrize("level", ["-3", "0"])
     def test_theta_nonpositive_level(self, capsys, level):
         code, out, err = run(capsys, ["theta", "--N", level])

@@ -18,7 +18,7 @@ from weilq.discform import (divisor_classes, divisors, euler_phi, index_gamma0,
                             prime_factors)
 from weilq.divisors import (CuspDivisor, MatchingError, _coset_reps,
                             _degrees_by_root, _matching_inverse,
-                            _proj_automorph_order, cusp_classes,
+                            _proj_automorph_order, _reduced_forms, cusp_classes,
                             cusp_space_dimension, eta_divisor, eta_order,
                             fricke_image, heegner_degree, reduced_forms,
                             solve_cusp_matching)
@@ -324,9 +324,13 @@ class TestCaches:
                 if hasattr(obj, "cache_info"):
                     caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
         assert {"weilq.divisors._order_table", "weilq.divisors._coset_reps",
+                "weilq.divisors._coset_monomials",
+                "weilq.divisors._reduced_forms",
                 "weilq.jacobi._euler_recurrence", "weilq.jacobi._eta_pair",
                 "weilq.heckeops._tp_factors", "weilq.cli._build_parser"
                 } <= set(caches)
+        assert {caches[f"weilq.divisors.{name}"].cache_info().maxsize
+                for name in ("_coset_monomials", "_reduced_forms")} == {256}
         unbounded = {name for name, cached in caches.items()
                      if cached.cache_info().maxsize is None}
         assert unbounded == {"weilq.divisors.heegner_degree"}
@@ -385,6 +389,22 @@ class TestCosetReps:
                 key = min(((u * a) % N, (u * c) % N) for u in units)
                 assert key not in seen
                 seen.add(key)
+
+
+def matrix_walk(N, n):
+    """Slow reference for _degrees_by_root: each translate from its matrix.
+
+    Every reduced form of disc n is moved by every matrix (a, b, c, d) of
+    _coset_reps(N), and both coefficients of the translate are expanded.
+    """
+    bins = {}
+    for A, B, C in reduced_forms(n):
+        sixths = 6 // _proj_automorph_order(A, B, C)
+        for a, b, c, d in _coset_reps(N):
+            if (A * a * a + B * a * c + C * c * c) % N == 0:
+                g = (2 * A * a * b + B * (a * d + b * c) + 2 * C * c * d) % (2 * N)
+                bins[g] = bins.get(g, 0) + sixths
+    return bins
 
 
 class TestHeegnerDegree:
@@ -446,6 +466,19 @@ class TestHeegnerDegree:
                 if n % 4 in (0, 1):
                     for g in _degrees_by_root(N, n):
                         assert (g * g - n) % (4 * N) == 0, (N, n, g)
+
+    def test_walk_matches_matrix_reference(self):
+        pairs = [(N, n) for N in range(1, 31) for n in range(-1, -301, -1)
+                 if n % 4 in (0, 1)]
+        assert len(pairs) == 4500
+        for N, n in pairs:
+            assert _degrees_by_root(N, n) == matrix_walk(N, n), (N, n)
+
+    def test_memoized_forms_leave_reduced_forms_fresh(self):
+        forms = reduced_forms(-23)
+        assert _reduced_forms(-23) == tuple(forms)
+        forms.clear()
+        assert reduced_forms(-23) == list(_reduced_forms(-23)) != []
 
     def test_bins_are_pinned(self):
         # every bin of 1800 (N, n) pairs, composite levels with gcd(N, n) > 1

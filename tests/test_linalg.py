@@ -6,7 +6,9 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from weilq._linalg import InconsistentSystem, SingularSystem, _clear, solve_exact
+import weilq._linalg as linalg_module
+from weilq._linalg import (InconsistentSystem, SingularSystem, _clear, _sweep,
+                           solve_exact)
 
 
 def dense_solve(rows, rhs):
@@ -370,6 +372,43 @@ class TestFailureReport:
             solve_exact([], [])
         with pytest.raises(ValueError, match="sizes differ"):
             solve_exact([[1]], [[1], [2]])
+
+
+class TestRepeats:
+    """An equation whose (numerator, denominator) pairs repeat is skipped."""
+
+    @staticmethod
+    def sweep_counting_clears(monkeypatch, eqs, ncols):
+        """_sweep(eqs, ncols) and the number of eliminations it made."""
+        calls = []
+
+        def counting(row, col, pivot):
+            calls.append(col)
+            return _clear(row, col, pivot)
+
+        monkeypatch.setattr(linalg_module, "_clear", counting)
+        return _sweep(eqs, ncols), len(calls)
+
+    def test_int_and_fraction_rows_are_one_repeat(self, monkeypatch):
+        pivots, clears = self.sweep_counting_clears(
+            monkeypatch, [(1, 2, 3), (F(1), F(2), F(3))], 2)
+        assert pivots == {0: [1, 2, 3]} and clears == 0
+
+    def test_proportional_rows_reduce_to_zero(self, monkeypatch):
+        # not repeats as read, so each is eliminated, to nothing
+        pivots, clears = self.sweep_counting_clears(
+            monkeypatch, [(1, 2, 3), (2, 4, 6), (F(1, 2), 1, F(3, 2))], 2)
+        assert pivots == {0: [1, 2, 3]} and clears == 2
+
+    @pytest.mark.parametrize("doubled_rhs, bad", [(6, 3), (8, 2)])
+    def test_doubled_copy_before_a_contradicting_row(self, doubled_rhs, bad):
+        # x + 2y = 3 and 3x + 5y = 8, then a doubled copy of the first
+        # equation (rhs 6) or of its contradiction x + 2y = 4 (rhs 8)
+        rows = [[1, 2], [3, 5], [2, 4], [1, 2]]
+        rhs = [3, 8, doubled_rhs, 4]
+        want = reference(rows, rhs)
+        assert want == (InconsistentSystem, bad)
+        assert checked(rows, rhs) == want
 
 
 def checked_inverse(rows):
