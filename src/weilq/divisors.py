@@ -231,12 +231,14 @@ def solve_cusp_matching(N: int, target: CuspDivisor):
 # ----- binary quadratic forms and CM-point degrees ----------------------
 
 
-def reduced_forms(disc: int) -> list:
+@lru_cache(maxsize=256, typed=True)
+def reduced_forms(disc: int) -> tuple:
     """All reduced positive definite forms (a, b, c) of discriminant disc.
 
     Standard reduction -a < b <= a <= c with b >= 0 whenever a = c or
     b = a; imprimitive forms are included.  disc must be negative and
-    0 or 1 mod 4.
+    0 or 1 mod 4.  Memoized with typed=True, so a float disc such as -23.0
+    raises TypeError whether or not -23 is cached.
     """
     if disc >= 0:
         raise ValueError("discriminant must be negative")
@@ -252,13 +254,7 @@ def reduced_forms(disc: int) -> list:
             forms.append((a, b, c))
             if 0 < b < a < c:
                 forms.append((a, -b, c))
-    return forms
-
-
-@lru_cache(maxsize=256)
-def _reduced_forms(disc: int) -> tuple:
-    """reduced_forms(disc) as a tuple, kept for the walks of many levels."""
-    return tuple(reduced_forms(disc))
+    return tuple(forms)
 
 
 def _proj_automorph_order(a: int, b: int, c: int) -> int:
@@ -270,8 +266,7 @@ def _proj_automorph_order(a: int, b: int, c: int) -> int:
     return 1
 
 
-@lru_cache(maxsize=256)
-def _coset_reps(N: int):
+def _coset_reps(N: int) -> tuple:
     """Matrices (a, b, c, d) of SL2(Z), one per left coset of level N.
 
     The coset of g is fixed by its first column (a : c) in P^1(Z/N).  One
@@ -279,6 +274,7 @@ def _coset_reps(N: int):
     of N (a = N for 0) and c in [0, N) least among its unit multiples that
     fix a.  As gcd(a, c) divides a | N and gcd(a, c, N) = 1, the pair is
     coprime, and d = a^-1 mod c, b = (ad - 1)/c complete it (c = 0 iff a = 1).
+    Only a miss of _coset_monomials(N) reads the table, so it has no memo.
     """
     reps = []
     for a in divisors(N):
@@ -319,10 +315,10 @@ def _degrees_by_root(N: int, n: int) -> dict:
     Each reduced form (A, B, C) of disc n is moved by every matrix of
     _coset_reps(N), read as its row of _coset_monomials(N): a translate
     with N | A' adds to the bin of its B' mod 2N, and each coefficient
-    costs three products.
+    costs three products.  One memo entry serves every root of (N, n).
     """
     bins, two_n = {}, 2 * N
-    for (A, B, C) in _reduced_forms(n):
+    for (A, B, C) in reduced_forms(n):
         sixths = 6 // _proj_automorph_order(A, B, C)
         for aa, ac, cc, ab, adbc, cd in _coset_monomials(N):
             if (A * aa + B * ac + C * cc) % N == 0:
@@ -331,7 +327,6 @@ def _degrees_by_root(N: int, n: int) -> dict:
     return bins
 
 
-@lru_cache(maxsize=None)
 def heegner_degree(N: int, n: int, gamma: int) -> Fraction:
     """Weighted number of level-N classes of forms with disc n and root gamma.
 
@@ -342,7 +337,7 @@ def heegner_degree(N: int, n: int, gamma: int) -> Fraction:
     order w, the stabilizer-weighted class count equals (number of left
     cosets whose translate satisfies the two congruences) / w, by
     orbit-stabilizer.  One walk over reduced forms and cosets bins the
-    translates by B mod 2N, so the degrees for all roots of n come at once.
+    translates by B mod 2N: one memoized walk gives the degrees of all roots.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")

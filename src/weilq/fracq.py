@@ -77,10 +77,12 @@ def parse_fraction(value) -> Fraction:
 
     An ASCII string ``-?[0-9]+(/[0-9]+)?`` is split and built from two ints,
     which skips Fraction's regex; every other value goes to ``Fraction``
-    unchanged, so the accepted inputs and their values are Fraction's own.
-    A zero denominator or an infinite float raises ValueError, like any
-    other value that is not a rational number.
+    unchanged, so the accepted inputs and their values are Fraction's own,
+    bar bool: JSON true is not the number 1.  A bool, a zero denominator or
+    an infinite float raises ValueError, like any other non-rational value.
     """
+    if type(value) is bool:
+        raise ValueError(f"{value!r} is not a rational number")
     try:
         if type(value) is str and value.isascii():
             num, slash, den = value.partition("/")

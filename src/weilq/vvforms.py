@@ -58,7 +58,7 @@ def _read_table(two_n: int, rows) -> dict:
         if type(n) is not int or type(gamma) is not int:
             raise ValueError(f"entry at (n={n!r}, gamma={gamma!r}) has a "
                              f"non-integer index")
-        if value not in parsed:
+        if value not in parsed or type(value) is bool:  # True == 1, False == 0
             parsed[value] = parse_fraction(value) or None
         c = parsed[value]
         if c is None:

@@ -14,11 +14,12 @@ from series_oracle import euler_product, monomial, mul
 from test_vvforms import reference_json
 
 import weilq
+import weilq.divisors as divisors_module
 import weilq.verify as verify
 from weilq.borcherds import ProductResult, exponent_table
 from weilq.cli import _csv, _dump, main
 from weilq.discform import divisors, exact_divisors
-from weilq.divisors import eta_divisor
+from weilq.divisors import MatchingError, eta_divisor
 from weilq.fracq import eta_series
 from weilq.heckeops import hecke_tp
 from weilq.vvforms import (VVExpansion, apply_aut, random_supported,
@@ -269,6 +270,21 @@ class TestVerifyCommand:
         assert data["results"][0]["failures"] == [{"N": 1, "planted": "witness"},
                                                   {"N": 2, "planted": "witness"}]
 
+    def test_singular_matching_exits_one(self, capsys, monkeypatch):
+        # a solve that raises is a failed case with a witness, not bad input
+        def singular(N):
+            raise MatchingError(f"matching matrix at level {N} is singular")
+
+        monkeypatch.setattr(divisors_module, "_matching_inverse", singular)
+        code, out, err = run(capsys, ["verify", "cusp", "--N-max", "3"])
+        data = json.loads(out)
+        assert code == 1 and data["ok"] is False and err == ""
+        result = data["results"][0]
+        assert result["cases"] == 12
+        assert [f["check"] for f in result["failures"]] == \
+            ["unit", "zero", "round-trip"] * 3
+        assert [f["N"] for f in result["failures"]] == [1] * 3 + [2] * 3 + [3] * 3
+
     def test_hecke_runs_every_level(self, capsys):
         # levels 1, 2 and 3 check the primes prime to 2N: 5 + 5 + 4 cases
         code, out, _ = run(capsys, ["verify", "hecke", "--N-max", "3",
@@ -488,7 +504,12 @@ class TestErrors:
         lambda d: d.update(k="1/0"),
         lambda d: d.update(k="1/3"),
         lambda d: d.update(holo=[[1, 1, "1"], [1, 3, "5"]]),
-    ], ids=["coefficient", "weight", "weight-not-half-integral", "symmetry"])
+        # JSON true and false are not numbers, also after an equal 1 or 0
+        lambda d: d.update(holo=[[1, 1, True], [1, 3, True]]),
+        lambda d: d.update(holo=[[1, 1, 1], [1, 3, True]]),
+        lambda d: d.update(holo=[[0, 0, 0], [4, 2, False]]),
+    ], ids=["coefficient", "weight", "weight-not-half-integral", "symmetry",
+            "true", "true-after-one", "false-after-zero"])
     def test_apply_bad_expansion(self, capsys, monkeypatch, edit):
         data = theta_series(2, 10).to_json()
         edit(data)
@@ -531,6 +552,18 @@ class TestErrors:
         code, out, err = run(capsys, [command, "--N", "6", "--in", str(src)])
         assert code == 2 and out == ""
         assert "rational" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("orders", [
+        [[1, True], [4, True]],
+        [[1, False], [2, "1"]],
+    ], ids=["true", "false"])
+    def test_solve_bool_order(self, capsys, tmp_path, orders):
+        # JSON true and false are not the numbers 1 and 0
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"N": 4, "orders": orders}))
+        code, out, err = run(capsys, ["solve", "--N", "4", "--in", str(src)])
+        assert code == 2 and out == ""
+        assert "not a rational number" in json.loads(err)["error"]
 
     def test_product_zero_denominator_weyl(self, capsys, monkeypatch):
         theta_json = json.dumps(theta_series(1, 30).to_json())

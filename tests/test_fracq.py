@@ -392,13 +392,13 @@ class TestParseFraction:
         self.check(text)
 
     @pytest.mark.parametrize("value", [
-        True, False, 0, -7, 10 ** 40, 1.5, -0.0, 0.1, float("inf"),
+        1, 2 ** 63, 0, -7, 10 ** 40, 1.5, -0.0, 0.1, float("inf"),
         float("-inf"), float("nan"), F(-3, 4), None, [1]])
     def test_other_values(self, value):
         self.check(value)
 
     def test_bad_numbers_raise_value_error(self):
-        for value in ("1/0", "-3/0", float("inf"), float("nan")):
+        for value in ("1/0", "-3/0", float("inf"), float("nan"), True, False):
             with pytest.raises(ValueError):
                 parse_fraction(value)
 

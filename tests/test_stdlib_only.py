@@ -1,7 +1,8 @@
 """The package imports only the standard library and itself, and importing
 its CLI loads neither dataclasses nor typing nor the inspect, ast and dis
-modules that they pull in, nor builds a shared small-int Fraction.  No
-module of the package, its tests or its demos imports a name it never uses.
+modules that they pull in, nor builds a shared small-int Fraction, nor fills
+any memo; every memo is bounded.  No module of the package, its tests or its
+demos imports a name it never uses.
 """
 
 import ast
@@ -47,6 +48,23 @@ def test_cli_import_builds_no_shared_fractions():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0"]
+
+
+def test_cli_import_leaves_every_memo_empty_and_bounded():
+    # a memo filled at import would hand the first timed call a warm cache
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import weilq.cli\n"
+            "mods = [m for k, m in list(sys.modules.items()) "
+            "if k == 'weilq' or k.startswith('weilq.')]\n"
+            "memos = {f'{o.__module__}.{o.__qualname__}': o.cache_info() "
+            "for m in mods for o in vars(m).values() if hasattr(o, 'cache_info')}\n"
+            "for name in sorted(memos):\n"
+            "    print(name, memos[name].currsize, memos[name].maxsize)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 11
+    assert [name for name, currsize, maxsize in rows
+            if currsize != "0" or not maxsize.isdigit()] == []
 
 
 def unused_imports(source: str) -> list:
