@@ -12,7 +12,7 @@ fractions.
 from .borcherds import (ProductResult, borcherds_product, eta_product,
                         exponent_table, weyl_vector)
 from .discform import (atkin_lehner, divisor_classes, divisors, exact_divisors,
-                       euler_phi, index_gamma0, is_exact_divisor)
+                       euler_phi, index_gamma0)
 from .divisors import (CuspClass, CuspDivisor, MatchingError, cusp_classes,
                        cusp_space_dimension, eta_divisor, eta_order,
                        fricke_image, heegner_degree, reduced_forms,
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FracSeries", "eta_series",
-    "atkin_lehner", "divisors", "exact_divisors",
-    "is_exact_divisor", "divisor_classes", "euler_phi", "index_gamma0",
+    "atkin_lehner", "divisors", "exact_divisors", "divisor_classes",
+    "euler_phi", "index_gamma0",
     "VVExpansion", "theta_series", "apply_aut", "basis_m_half",
     "decompose", "formal_xi", "random_supported", "DecompositionError",
     "hecke_tp", "level_u", "level_v",

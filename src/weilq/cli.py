@@ -235,8 +235,7 @@ def main(argv=None) -> int:
         result = args.fn(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
         _emit(text, args.out)  # an unwritable --out is an OSError: exit 2
-    except (ValueError, OverflowError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2
     except MemoryError:  # a window too long to allocate is bad input too

@@ -28,10 +28,6 @@ def exact_divisors(N: int) -> list:
     return [c for c in divisors(N) if gcd(c, N // c) == 1]
 
 
-def is_exact_divisor(N: int, c: int) -> bool:
-    return N % c == 0 and gcd(c, N // c) == 1 if 1 <= c <= N else False
-
-
 def divisor_classes(N: int) -> list:
     """One representative d per unordered pair {d, N/d}, sorted.
 
@@ -42,7 +38,9 @@ def divisor_classes(N: int) -> list:
 
 
 def prime_factors(N: int) -> list:
-    """Distinct prime factors of N, ascending (trial division)."""
+    """Distinct prime factors of an int N >= 1, ascending (trial division)."""
+    if type(N) is not int or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     out = []
     n, p = N, 2
     while p * p <= n:
@@ -71,11 +69,6 @@ def index_gamma0(N: int) -> int:
     return val
 
 
-def _check_gamma(N: int, gamma: int) -> None:
-    if not 0 <= gamma < 2 * N:
-        raise ValueError(f"component index {gamma} is not a residue mod {2 * N}")
-
-
 def atkin_lehner(N: int, c: int, gamma: int) -> int:
     """Image of gamma under the involution attached to an exact divisor c.
 
@@ -84,8 +77,9 @@ def atkin_lehner(N: int, c: int, gamma: int) -> int:
     eps = 2c * (c^-1 mod N/c) - 1, which is = -1 mod 2c and = 1 mod 2N/c
     (since c * c^-1 = 1 mod N/c).
     """
-    if not is_exact_divisor(N, c):
+    if not (1 <= c <= N and N % c == 0 and gcd(c, N // c) == 1):
         raise ValueError(f"{c} is not an exact divisor of {N}")
-    _check_gamma(N, gamma)
+    if not 0 <= gamma < 2 * N:
+        raise ValueError(f"component index {gamma} is not a residue mod {2 * N}")
     eps = 2 * c * pow(c, -1, N // c) - 1
     return eps * gamma % (2 * N)

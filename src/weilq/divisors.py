@@ -339,6 +339,8 @@ def heegner_degree(N: int, n: int, gamma: int) -> Fraction:
     orbit-stabilizer.  One walk over reduced forms and cosets bins the
     translates by B mod 2N: one memoized walk gives the degrees of all roots.
     """
+    if {type(N), type(n), type(gamma)} != {int}:  # a bool or float is no index
+        raise ValueError(f"N, n and gamma must be ints, got {N!r}, {n!r}, {gamma!r}")
     if N < 1:
         raise ValueError("N must be a positive integer")
     if n >= 0:

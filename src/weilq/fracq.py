@@ -49,8 +49,6 @@ class Record:
     tests/test_stdlib_only.py checks that weilq.cli loads none of them.
     """
 
-    __hash__ = None
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -124,9 +122,7 @@ class FracSeries:
         trunc = _frac(trunc)
         # ceil(trunc * denom) in ints: for an integer e, e < bound iff e/denom < trunc
         bound = -(-trunc.numerator * denom // trunc.denominator)
-        # a shared small int is a dict lookup here, without a call
-        kept = {e: c if type(c) is Fraction
-                else type(c) is int and _SHARED.get(c) or to_fraction(c)
+        kept = {e: c if type(c) is Fraction else to_fraction(c)
                 for e, c in terms.items() if c and e < bound}
         g = gcd(denom, *kept)
         if g > 1:
@@ -184,8 +180,6 @@ class FracSeries:
             and self.terms == other.terms
             and self.trunc == other.trunc
         )
-
-    __hash__ = None
 
     def __repr__(self):
         parts = []

@@ -7,7 +7,8 @@ and drops cancelling slots as it goes.  What depends only on the operator's
 index, the weight and the representation (the T_p factors, the V_l divisor
 weights, and the V_l root tables, which see N only mod l/a) is computed once
 and cached under keys that leave out N, so the caches stay small at any
-level; a call computes only what needs N.  Each function returns a fresh
+level; a call computes only what needs N.  Operator results come from
+f._with, which keeps weight, rep and radical.  Each function returns a fresh
 expansion whose truncation w records the tight range on which the output is
 exact, except that level_u(f, 1) and level_v(f, 1) return f itself; holo
 outputs are kept at -w <= n <= w and nonholo outputs at -w <= n <= -1.
@@ -30,7 +31,7 @@ from .vvforms import VVExpansion
 
 
 def _require_good_prime(p: int, N: int) -> None:
-    if prime_factors(p) != [p]:
+    if p < 2 or prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if gcd(p, 2 * N) != 1:
         raise ValueError(f"prime {p} divides 2N = {2 * N}; this operator "
@@ -196,15 +197,8 @@ def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
     _require_good_prime(p, f.N)
     w = f.trunc // (p * p)
     factors = _tp_factors(p, f.rep, f.weight, f.radical)
-    return VVExpansion(
-        f.N,
-        f.weight,
-        f.rep,
-        _tp_table(f.holo, f.N, p, factors, -w, w),
-        _tp_table(f.nonholo, f.N, p, factors, -w, -1),
-        w,
-        f.radical,
-    )
+    return f._with(_tp_table(f.holo, f.N, p, factors, -w, w),
+                   _tp_table(f.nonholo, f.N, p, factors, -w, -1), w)
 
 
 def level_u(f: VVExpansion, d: int) -> VVExpansion:
@@ -218,15 +212,8 @@ def level_u(f: VVExpansion, d: int) -> VVExpansion:
         raise ValueError("index raising requires a positive integer")
     if d == 1:
         return f
-    return VVExpansion(
-        f.N * d * d,
-        f.weight,
-        f.rep,
-        _u_table(f.holo, f.N, d),
-        _u_table(f.nonholo, f.N, d),
-        f.trunc * d * d,
-        f.radical,
-    )
+    return f._with(_u_table(f.holo, f.N, d), _u_table(f.nonholo, f.N, d),
+                   f.trunc * d * d, f.N * d * d)
 
 
 def level_v(f: VVExpansion, ell: int) -> VVExpansion:
@@ -241,12 +228,5 @@ def level_v(f: VVExpansion, ell: int) -> VVExpansion:
         return f
     w = f.trunc
     factors = _v_factors(ell, f.weight, f.radical)
-    return VVExpansion(
-        f.N * ell,
-        f.weight,
-        f.rep,
-        _v_table(f.holo, f.N, f.rep, factors, -w, w),
-        _v_table(f.nonholo, f.N, f.rep, factors, -w, -1),
-        w,
-        f.radical,
-    )
+    return f._with(_v_table(f.holo, f.N, f.rep, factors, -w, w),
+                   _v_table(f.nonholo, f.N, f.rep, factors, -w, -1), w, f.N * ell)

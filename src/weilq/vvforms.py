@@ -41,9 +41,9 @@ def symmetry_sign(weight: Fraction, rep: int) -> int:
 
 
 def _check_frame(N: int, trunc: int) -> None:
-    """An expansion needs a level N >= 1 and a truncation trunc >= 0."""
-    if N < 1 or trunc < 0:
-        raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N}, trunc = {trunc}")
+    """An expansion needs an int level N >= 1 and an int truncation trunc >= 0."""
+    if type(N) is not int or type(trunc) is not int or N < 1 or trunc < 0:
+        raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N!r}, trunc = {trunc!r}")
 
 
 def _read_table(two_n: int, rows) -> dict:
@@ -81,6 +81,7 @@ class VVExpansion(Record):
     with m > 0 to the coefficient relative to an implicit radical weight
     sqrt(m/4N), which keeps every stored value rational, and nonholo is
     empty.  The support rule reads m = rep * gamma^2 mod 4N as usual.
+    Operator results come from _with, which keeps weight, rep and radical.
     A plain class, not a dataclass (see fracq.Record).
     """
 
@@ -103,9 +104,15 @@ class VVExpansion(Record):
         """What two expansions must share to be added or compared."""
         return self.N, self.weight, self.rep, self.radical
 
-    def get(self, n: int, gamma: int, part: str = "holo") -> Fraction:
-        table = self.holo if part == "holo" else self.nonholo
-        return table.get((n, gamma % (2 * self.N)), Fraction(0))
+    def get(self, n: int, gamma: int) -> Fraction:
+        return self.holo.get((n, gamma % (2 * self.N)), Fraction(0))
+
+    def _with(self, holo: dict, nonholo: dict, trunc: int,
+              N: int = None) -> "VVExpansion":
+        """These tables at level N (default self.N) with self's weight, rep
+        and radical flag: the result of an operator on self."""
+        return VVExpansion(N or self.N, self.weight, self.rep, holo, nonholo,
+                           trunc, self.radical)
 
     def validate(self) -> None:
         """Raise ValueError unless every table rule holds; from_json ends here.
@@ -179,8 +186,7 @@ class VVExpansion(Record):
                             f"not {type(factor).__name__}")
         tables = [{k: factor * c for k, c in t.items()} if factor else {}
                   for t in (self.holo, self.nonholo)]
-        return VVExpansion(self.N, self.weight, self.rep, *tables, self.trunc,
-                           self.radical)
+        return self._with(*tables, self.trunc)
 
     def __add__(self, other):
         if not isinstance(other, VVExpansion):
@@ -195,7 +201,7 @@ class VVExpansion(Record):
                 if abs(k[0]) <= w:
                     add_into(out, k, c)
             parts.append(out)
-        return VVExpansion(self.N, self.weight, self.rep, *parts, w, self.radical)
+        return self._with(*parts, w)
 
     def agrees_with(self, other):
         """Exact table comparison on the common reliable index range.
@@ -303,12 +309,11 @@ def apply_aut(f: VVExpansion, c: int) -> VVExpansion:
     sigma_c is multiplication by one unit mod 2N (see atkin_lehner), so the
     cost is one step per stored entry, whatever the level.
     """
-    N = f.N
-    two_n = 2 * N
-    eps = atkin_lehner(N, c, 1)
+    two_n = 2 * f.N
+    eps = atkin_lehner(f.N, c, 1)
     tables = [{(n, eps * g % two_n): v for (n, g), v in t.items()}
               for t in (f.holo, f.nonholo)]
-    return VVExpansion(N, f.weight, f.rep, *tables, f.trunc, f.radical)
+    return f._with(*tables, f.trunc)
 
 
 def basis_m_half(N: int, trunc: int) -> list:

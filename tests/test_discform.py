@@ -1,11 +1,12 @@
 """Discriminant module: divisor helpers, quadratic form, involutions."""
 
+from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
 from weilq.discform import (atkin_lehner, divisor_classes, divisors, euler_phi,
-                            exact_divisors, index_gamma0, is_exact_divisor)
+                            exact_divisors, index_gamma0, prime_factors)
 
 
 class TestDivisors:
@@ -24,7 +25,6 @@ class TestDivisors:
         assert exact_divisors(36) == [1, 4, 9, 36]
         for N in range(1, 60):
             for c in exact_divisors(N):
-                assert is_exact_divisor(N, c)
                 assert gcd(c, N // c) == 1
 
     def test_divisor_classes(self):
@@ -45,6 +45,16 @@ class TestDivisors:
             brute = sum(1 for k in range(N) if gcd(k, N) == 1)
             assert euler_phi(N) == brute
 
+    @pytest.mark.parametrize("fn, N", [
+        (index_gamma0, -5), (index_gamma0, 0), (euler_phi, -7),
+        (index_gamma0, 6.0), (prime_factors, True), (prime_factors, F(6))],
+        ids=["index_gamma0(-5)", "index_gamma0(0)", "euler_phi(-7)",
+             "index_gamma0(6.0)", "prime_factors(True)", "prime_factors(F(6))"])
+    def test_counts_reject_non_positive_or_non_int_levels(self, fn, N):
+        # each once returned a number: -5, 0, -7 and 12.0 for the first four
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            fn(N)
+
 
 class TestInvolutions:
     def test_example(self):
@@ -61,6 +71,16 @@ class TestInvolutions:
             atkin_lehner(12, 2, 0)
         with pytest.raises(ValueError):
             atkin_lehner(12, 5, 0)
+
+    def test_rejects_every_c_that_is_not_an_exact_divisor(self):
+        for N in range(1, 61):
+            exact = exact_divisors(N)
+            for c in range(N + 2):
+                if c in exact:
+                    assert atkin_lehner(N, c, 0) == 0
+                else:
+                    with pytest.raises(ValueError, match="is not an exact divisor"):
+                        atkin_lehner(N, c, 0)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

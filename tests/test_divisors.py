@@ -3,8 +3,11 @@
 import hashlib
 import importlib
 import json
+import pathlib
 import pkgutil
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd, prod
 
@@ -533,6 +536,30 @@ class TestHeegnerDegree:
         for N in (0, -2):
             with pytest.raises(ValueError, match="N must be a positive"):
                 heegner_degree(N, -3, 0)
+
+    NON_INT_ARGS = [(1, -3.0, 1), (True, -3, 1), (1.0, -3, 1), (1, -3, True),
+                    (1, -3, 1.0), (1, F(-3), 1)]
+
+    @pytest.mark.parametrize("args", NON_INT_ARGS)
+    def test_non_int_arguments_raise_after_the_int_call(self, args):
+        # the int call fills the memo entry that an equal float or bool hit
+        assert heegner_degree(1, -3, 1) == F(1, 3)
+        with pytest.raises(ValueError, match="must be ints"):
+            heegner_degree(*args)
+
+    def test_non_int_arguments_raise_in_a_fresh_process(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "from fractions import Fraction\n"
+                "from weilq.divisors import heegner_degree\n"
+                f"for args in {self.NON_INT_ARGS!r}:\n"
+                "    try:\n"
+                "        print(heegner_degree(*args))\n"
+                "    except Exception as exc:\n"
+                "        print(type(exc).__name__)")
+        src = pathlib.Path(weilq.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["ValueError"] * len(self.NON_INT_ARGS)
 
 
 def kronecker(D: int, p: int) -> int:

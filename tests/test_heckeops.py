@@ -161,8 +161,9 @@ class TestHeckeTp:
             hecke_tp(f, 2)
         with pytest.raises(ValueError, match="divides 2N"):
             hecke_tp(f, 3)
-        with pytest.raises(ValueError, match="not prime"):
-            hecke_tp(f, 9)
+        for p in (9, 1, 0, -5):
+            with pytest.raises(ValueError, match="not prime"):
+                hecke_tp(f, p)
 
     def test_commutes_with_aut(self):
         f = random_supported(6, F(1, 2), 1, seed=5, trunc=250)

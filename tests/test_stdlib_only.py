@@ -2,7 +2,8 @@
 its CLI loads neither dataclasses nor typing nor the inspect, ast and dis
 modules that they pull in, nor builds a shared small-int Fraction, nor fills
 any memo; every memo is bounded.  No module of the package, its tests or its
-demos imports a name it never uses.
+demos imports a name it never uses, and each name in ``weilq.__all__``
+resolves once.
 """
 
 import ast
@@ -65,6 +66,14 @@ def test_cli_import_leaves_every_memo_empty_and_bounded():
     assert len(rows) == 11
     assert [name for name, currsize, maxsize in rows
             if currsize != "0" or not maxsize.isdigit()] == []
+
+
+def test_every_public_name_resolves_once():
+    import weilq
+
+    assert len(weilq.__all__) == len(set(weilq.__all__))
+    assert [name for name in weilq.__all__ if not hasattr(weilq, name)] == []
+    assert "is_exact_divisor" not in weilq.__all__
 
 
 def unused_imports(source: str) -> list:

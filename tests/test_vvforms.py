@@ -84,6 +84,17 @@ class TestThetaSeries:
         with pytest.raises(ValueError):
             theta_series(3, -1)
 
+    @pytest.mark.parametrize("N, trunc", [(2.0, 16), (True, 16), (2, 16.0),
+                                          (2, False), (F(2), 16)])
+    def test_rejects_a_level_or_truncation_that_is_not_an_int(self, N, trunc):
+        # theta_series(2.0, 16).N was 2.0 and theta_series(True, 16).N was True
+        with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
+            theta_series(N, trunc)
+        with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
+            random_supported(N, F(1, 2), 1, seed=1, trunc=trunc)
+        with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
+            VVExpansion(N, F(1, 2), 1, {}, {}, trunc).validate()
+
 
 class TestExpansionBasics:
     def test_support_rule(self):
