@@ -137,7 +137,7 @@ class CuspDivisor(Record):
 
         The reader only reads: both fields, rational orders, no class given
         twice; zero orders are dropped once their classes are checked.  A
-        malformed value raises ValueError.
+        reader error raises "malformed divisor JSON: ..."
         """
         try:
             N, rows = data["N"], {}
@@ -147,7 +147,7 @@ class CuspDivisor(Record):
                 rows[c] = parse_fraction(v)
         except KeyError as exc:
             raise ValueError(f"malformed divisor JSON: missing field {exc}") from None
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError, ValueError) as exc:
             raise ValueError(f"malformed divisor JSON: {exc}") from None
         _check_classes(N, rows)  # the classes of zero rows too
         div = cls(N, {c: v for c, v in rows.items() if v})

@@ -10,13 +10,13 @@ and cached under keys that leave out N, so the caches stay small at any
 level; a call computes only what needs N.  Operator results come from
 f._with, which keeps weight, rep and radical.  Each function returns a fresh
 expansion whose truncation w records the tight range on which the output is
-exact, except that level_u(f, 1) and level_v(f, 1) return f itself; holo
-outputs are kept at -w <= n <= w and nonholo outputs at -w <= n <= -1.
-On radical (formal shadow) tables they are the operators transported
-through formal_xi: carrying the implicit sqrt(m/4N) through the index
-formulas turns T_p and V_l into the plain kernels at weight k - 1, up to a
-global power of p or l.  Such a table stores only n > 0, which every
-operator maps to n > 0, so the same windows serve it.
+exact, except that level_u(f, 1) and level_v(f, 1) return f itself.  Both
+tables keep outputs in the one window |n| <= w: every operator maps an index
+m to one of its sign (m/p^2, m, p^2 m or a^2 m), so nonholo keeps n <= -1
+and a radical table n >= 1 with no bound of their own.  On radical (formal
+shadow) tables the operators are transported through formal_xi: carrying
+the implicit sqrt(m/4N) through the index formulas turns T_p and V_l into
+the plain kernels at weight k - 1, up to a global power of p or l.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _tp_factors(p: int, rep: int, weight: Fraction, radical: bool) -> tuple:
     return (p if radical else None), mid, scale * p * w1 * w1
 
 
-def _tp_table(table: dict, N: int, p: int, factors: tuple, lo: int, hi: int) -> dict:
+def _tp_table(table: dict, N: int, p: int, factors: tuple, w: int) -> dict:
     """Three-term T_p scatter with the factors of _tp_factors.
 
     Output slot (n, gamma) collects
@@ -80,22 +80,23 @@ def _tp_table(table: dict, N: int, p: int, factors: tuple, lo: int, hi: int) -> 
     the last term only when p^2 divides n; gamma/p means multiplication by
     the inverse of p mod 2N, the one factor computed per call.  Read from
     the stored side, an entry (m, delta) feeds (m/p^2, delta/p), (m, delta)
-    and (p^2 m, p delta); only outputs with lo <= n <= hi are kept.  Each
-    contribution costs at most one Fraction operation, and a slot whose
-    contributions cancel is dropped as it goes.
+    and (p^2 m, p delta), all of the sign of m; only outputs with |n| <= w
+    are kept.  Each contribution costs at most one Fraction operation, and a
+    slot whose contributions cancel is dropped as it goes.
     """
     first, mid, last = factors
     two_n = 2 * N
     pinv = pow(p, -1, two_n)
     p2 = p * p
+    lo = -w  # a local: -w in the loop costs a negation per test
     out = {}
     for (m, delta), c in table.items():
-        if m % p2 == 0 and lo <= m // p2 <= hi:
+        if m % p2 == 0 and lo <= m // p2 <= w:
             add_into(out, (m // p2, (pinv * delta) % two_n),
                      c if first is None else first * c)
-        if lo <= m <= hi and (w := mid[m % p]) is not None:
-            add_into(out, (m, delta), w * c)
-        if lo <= p2 * m <= hi:
+        if lo <= m <= w and (chi := mid[m % p]) is not None:
+            add_into(out, (m, delta), chi * c)
+        if lo <= p2 * m <= w:
             add_into(out, (p2 * m, (p * delta) % two_n), last * c)
     return out
 
@@ -152,28 +153,29 @@ def _v_factors(ell: int, weight: Fraction, radical: bool) -> tuple:
     return tuple(out)
 
 
-def _v_table(table: dict, N: int, rep: int, factors: tuple, lo: int, hi: int) -> dict:
+def _v_table(table: dict, N: int, rep: int, factors: tuple, w: int) -> dict:
     """Divisor-sum scatter for the index-spreading operator.
 
     At output level N*ell the slot (n, gamma) collects the weight of a times
     the entry at (n/a^2, gamma/a) over positive a dividing
     gcd((gamma^2 - rep*n)/(4*N*ell), gamma, ell).  So an entry (m, delta)
-    and a divisor a of ell feed (a^2 m, a*(delta + 2N t)) for the t < ell/a
-    where ell/a divides N t^2 + delta t + (delta^2 - rep*m)/(4N), an integer
-    by the support rule; only outputs with lo <= n <= hi are kept.  The
-    roots t come from _v_roots and the weights from _v_factors.  Each
-    (entry, a) costs at most one Fraction operation, shared by its roots t,
-    and cancelling slots drop out as it goes.
+    and a divisor a of ell feed (a^2 m, a*(delta + 2N t)), of the sign of m,
+    for the t < ell/a where ell/a divides N t^2 + delta t + (delta^2 -
+    rep*m)/(4N), an integer by the support rule; only outputs with |n| <= w
+    are kept.  The roots t come from _v_roots and the weights from
+    _v_factors.  Each (entry, a) costs at most one Fraction operation,
+    shared by its roots t, and cancelling slots drop out as it goes.
     """
     two_n = 2 * N
     four_n = 2 * two_n
+    lo = -w
     out = {}
     for a, a2, count, weight in factors:
         roots = _v_roots(N % count, count)
         step = a * two_n
         for (m, delta), c in table.items():
             n = a2 * m
-            if not lo <= n <= hi:
+            if not lo <= n <= w:
                 continue
             ts = roots[delta % count].get((rep * m - delta * delta) // four_n % count)
             if ts:
@@ -197,8 +199,8 @@ def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
     _require_good_prime(p, f.N)
     w = f.trunc // (p * p)
     factors = _tp_factors(p, f.rep, f.weight, f.radical)
-    return f._with(_tp_table(f.holo, f.N, p, factors, -w, w),
-                   _tp_table(f.nonholo, f.N, p, factors, -w, -1), w)
+    return f._with(_tp_table(f.holo, f.N, p, factors, w),
+                   _tp_table(f.nonholo, f.N, p, factors, w), w)
 
 
 def level_u(f: VVExpansion, d: int) -> VVExpansion:
@@ -228,5 +230,5 @@ def level_v(f: VVExpansion, ell: int) -> VVExpansion:
         return f
     w = f.trunc
     factors = _v_factors(ell, f.weight, f.radical)
-    return f._with(_v_table(f.holo, f.N, f.rep, factors, -w, w),
-                   _v_table(f.nonholo, f.N, f.rep, factors, -w, -1), w, f.N * ell)
+    return f._with(_v_table(f.holo, f.N, f.rep, factors, w),
+                   _v_table(f.nonholo, f.N, f.rep, factors, w), w, f.N * ell)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 
 from .borcherds import _weyl_of_coordinates, borcherds_product, eta_product
 from .discform import divisor_classes, divisors, exact_divisors, index_gamma0
@@ -57,19 +57,17 @@ def _series_witness(got, expected):
     """First exponent where two exact q-series differ, or None.
 
     The two series are compared truncated to their common window, where
-    both are exact; only on a mismatch are both term dicts put on the
-    common lattice to find the smallest exponent at which they differ.
+    both are exact; only on a mismatch are both read as maps from Fraction
+    exponents, which compare across lattices, to find the smallest exponent
+    at which they differ.
     """
     window = min(got.trunc, expected.trunc)
     got, expected = got.truncate(window), expected.truncate(window)
     if got == expected:
         return None
-    M = lcm(got.denom, expected.denom)
-    a, b = ({e * (M // s.denom): c for e, c in s.terms.items()}
-            for s in (got, expected))
+    a, b = dict(got.items()), dict(expected.items())
     e = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    return {"exponent": str(Fraction(e, M)), "expected": str(b.get(e, 0)),
-            "got": str(a.get(e, 0))}
+    return {"exponent": str(e), "expected": str(b.get(e, 0)), "got": str(a.get(e, 0))}
 
 
 def _expansion_witness(got, expected):

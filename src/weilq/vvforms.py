@@ -43,7 +43,8 @@ def symmetry_sign(weight: Fraction, rep: int) -> int:
 def _check_frame(N: int, trunc: int) -> None:
     """An expansion needs an int level N >= 1 and an int truncation trunc >= 0."""
     if type(N) is not int or type(trunc) is not int or N < 1 or trunc < 0:
-        raise ValueError(f"need N >= 1 and trunc >= 0, got N = {N!r}, trunc = {trunc!r}")
+        raise ValueError(f"N and trunc must be integers with N >= 1 and trunc >= 0, "
+                         f"got N = {N!r}, trunc = {trunc!r}")
 
 
 def _read_table(two_n: int, rows) -> dict:
@@ -117,11 +118,14 @@ class VVExpansion(Record):
     def validate(self) -> None:
         """Raise ValueError unless every table rule holds; from_json ends here.
 
-        The rules: N >= 1, trunc >= 0, half-integral weight, holo n in
-        [-trunc, trunc], nonholo n in [-trunc, -1], every stored value of
-        type Fraction, no stored zero, gamma in [0, 2N), the support rule
-        and a(n, -gamma) = eps * a(n, gamma), so a self-paired slot is empty
-        when eps = -1.  A radical table stores only holo entries, at n > 0.
+        The rules: N >= 1, trunc >= 0 and half-integral weight; a radical
+        table stores only holo entries, at n > 0.  One pass per table checks
+        each entry, in turn, for type Fraction, no stored zero, holo n in
+        [-trunc, trunc] or nonholo n in [-trunc, -1], gamma in [0, 2N) and
+        the support rule, then for a(n, -gamma) = eps * a(n, gamma): a
+        self-paired slot is empty when eps = -1, the partner at (n, 2N - gamma)
+        is stored, and a pair is compared once, from its gamma < N side.  A
+        table with several faults reports the first faulty entry it meets.
         """
         N, rep, trunc = self.N, self.rep, self.trunc
         _check_frame(N, trunc)
@@ -135,14 +139,11 @@ class VVExpansion(Record):
                     raise ValueError(f"non-positive index at {(n, gamma)}")
         for part, table, hi in (("holo", self.holo, trunc),
                                 ("nonholo", self.nonholo, -1)):
-            if not set(map(type, table.values())) <= {Fraction}:
-                key, c = next((k, c) for k, c in table.items()
-                              if type(c) is not Fraction)
-                raise ValueError(f"value at {part}{key} has type "
-                                 f"{type(c).__name__}, not Fraction")
             get = table.get
-            unpaired = 0  # entries whose pair check has not (yet) passed
             for (n, gamma), c in table.items():
+                if type(c) is not Fraction:
+                    raise ValueError(f"value at {part}{(n, gamma)} has type "
+                                     f"{type(c).__name__}, not Fraction")
                 num, den = c.as_integer_ratio()
                 if not num:
                     raise ValueError(f"stored zero at {part}{(n, gamma)}")
@@ -158,26 +159,16 @@ class VVExpansion(Record):
                     if eps < 0:
                         raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
                                          f"symmetry: a self-paired slot must vanish")
-                elif gamma > N:
-                    unpaired += 1
-                else:  # each pair is checked once, from its entry with gamma < N
-                    v = get((n, two_n - gamma))
-                    if v is None:
-                        unpaired += 1
-                    # int ratios compare cheaper than Fractions; the reader
-                    # shares one value per text, so v may be c itself, which
-                    # matches only when eps = +1
-                    elif ((v is not c or eps < 0)
-                          and v.as_integer_ratio() != (eps * num, den)):
-                        raise ValueError(f"entry at (n={n}, gamma={two_n - gamma}) "
-                                         f"violates the symmetry with gamma = {gamma}")
-                    else:
-                        unpaired -= 1
-            if unpaired:
-                n, gamma = next((n, g) for n, g in table
-                                if g not in (0, N) and (n, two_n - g) not in table)
-                raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
-                                 f"symmetry: gamma = {two_n - gamma} is missing")
+                elif (v := get((n, two_n - gamma))) is None:
+                    raise ValueError(f"entry at (n={n}, gamma={gamma}) violates the "
+                                     f"symmetry: gamma = {two_n - gamma} is missing")
+                # int ratios compare cheaper than Fractions; the reader shares
+                # one value per text, so v may be c itself, which matches only
+                # when eps = +1; a v of another type raises at its own entry
+                elif (gamma < N and (v is not c or eps < 0) and type(v) is Fraction
+                      and v.as_integer_ratio() != (eps * num, den)):
+                    raise ValueError(f"entry at (n={n}, gamma={two_n - gamma}) "
+                                     f"violates the symmetry with gamma = {gamma}")
 
     def scaled(self, factor) -> "VVExpansion":
         """factor * self for an int or Fraction factor; any other raises TypeError."""
@@ -257,15 +248,13 @@ class VVExpansion(Record):
     def from_json(cls, data: dict) -> "VVExpansion":
         """Read the holo/nonholo layout, then let validate() decide.
 
-        The reader only reads: every field, JSON-integer N, trunc and indices,
-        a known rep, rational numbers, no slot given twice; a shadow ("r")
-        table is refused.  validate() alone decides the table rules.  A
-        malformed value raises ValueError.
+        The reader only reads: every field, the frame (_check_frame), a known
+        rep, rational numbers, JSON-integer indices, no slot given twice; a
+        shadow ("r") table is refused.  validate() alone decides the table
+        rules.  A reader error raises "malformed expansion JSON: ..."
         """
         try:
             N, trunc = data["N"], data["trunc"]
-            if type(N) is not int or type(trunc) is not int:
-                raise TypeError(f"N = {N!r} and trunc = {trunc!r} must be integers")
             if data["rep"] not in ("rho", "dual"):
                 raise TypeError(f"rep must be 'rho' or 'dual', got {data['rep']!r}")
             rep = 1 if data["rep"] == "rho" else -1
@@ -277,7 +266,7 @@ class VVExpansion(Record):
             why = ('a shadow ("r") table is output only; expansions are read from '
                    'the holo/nonholo layout' if "r" in data else f"missing field {exc}")
             raise ValueError(f"malformed expansion JSON: {why}") from None
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError, ValueError) as exc:
             raise ValueError(f"malformed expansion JSON: {exc}") from None
         f = cls(N, weight, rep, holo, nonholo, trunc)
         f.validate()

@@ -129,6 +129,10 @@ class TestBorcherdsProduct:
         res = borcherds_product(f, weyl=F(0), prec=10)
         assert res.weyl == 0
 
+    def test_rejects_precision_below_one(self):
+        with pytest.raises(ValueError, match="prec must be at least 1"):
+            borcherds_product(theta_series(1, 16), prec=0)
+
     def test_validate_rejects_wrong_weyl(self):
         res = borcherds_product(theta_series(1, 2500), F(1, 12), 50)
         bad = ProductResult(res.weight, F(1, 24), res.expansion, res.exponents)

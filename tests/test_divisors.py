@@ -6,6 +6,7 @@ import json
 import pathlib
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -189,6 +190,16 @@ class TestCuspDivisor:
         assert CuspDivisor.from_json({"N": 6, "orders": [[2, "0"]]}).orders == {}
         with pytest.raises(ValueError, match="class 5 is not a positive divisor"):
             CuspDivisor.from_json({"N": 6, "orders": [[5, "0"]]})
+
+    @pytest.mark.parametrize("orders, why", [
+        (5, "'int' object is not iterable"),
+        ([[2, "1"], [2, "3"]], "class 2 is given twice"),
+        ([[2, "1/0"]], "'1/0' is not a rational number"),
+    ], ids=["not-a-list", "repeated", "zero-denominator"])
+    def test_from_json_reader_errors_name_the_layout(self, orders, why):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"malformed divisor JSON: {why}")):
+            CuspDivisor.from_json({"N": 6, "orders": orders})
 
     def test_fricke_fixed_points_and_involution(self):
         for N in (2, 6, 12, 45):

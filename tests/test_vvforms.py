@@ -132,6 +132,20 @@ class TestExpansionBasics:
             with pytest.raises(ValueError, match="N >= 1 and trunc >= 0"):
                 VVExpansion(N, F(1, 2), 1, {}, {}, trunc).validate()
 
+    @pytest.mark.parametrize("part", ["holo", "nonholo"])
+    @pytest.mark.parametrize("table, match", [
+        ({(-7, 1): F(0), (-7, 3): F(0)}, "stored zero at {}(-7, 1)"),
+        ({(-7, 5): F(1)}, "non-canonical index at {}(-7, 5)"),
+    ], ids=["zero", "non-canonical"])
+    def test_validate_rejects_stored_zeros_and_non_canonical_indices(
+            self, part, table, match):
+        # level 2 on rho: (-7, 1) and (-7, 3) are supported partner slots;
+        # (-7, 5) passes the support rule (25 = 1 mod 8), but 5 >= 2N
+        tables = {"holo": {}, "nonholo": {}, part: table}
+        f = VVExpansion(2, F(1, 2), 1, tables["holo"], tables["nonholo"], 10)
+        with pytest.raises(ValueError, match=re.escape(match.format(part))):
+            f.validate()
+
     def test_validate_rejects_non_fraction_values(self):
         keys = ((0, 0), (1, 1), (4, 0), (9, 1))
         exact = VVExpansion(1, F(1, 2), 1, {k: F(1) for k in keys}, {}, 9)
@@ -144,6 +158,11 @@ class TestExpansionBasics:
         nonholo = VVExpansion(1, F(1, 2), 1, {}, {(-3, 1): 2}, 9)
         with pytest.raises(ValueError, match=re.escape("at nonholo(-3, 1) has type int")):
             nonholo.validate()
+        # a partner of another type is reported at its own entry, even when
+        # the pair is compared first from its gamma < N side
+        paired = VVExpansion(2, F(1, 2), 1, {(1, 1): F(1), (1, 3): "1"}, {}, 9)
+        with pytest.raises(ValueError, match=re.escape("at holo(1, 3) has type str")):
+            paired.validate()
 
     def test_add_and_scale(self):
         th = theta_series(6, 50)
@@ -441,6 +460,21 @@ class TestFromJsonStrict:
         with pytest.raises(ValueError, match="must be integers"):
             VVExpansion.from_json(data)
 
+    @pytest.mark.parametrize("edit, why", [
+        (lambda d: d.update(N=0), "N and trunc must be integers with N >= 1"),
+        (lambda d: d.update(trunc=-1), "N and trunc must be integers with N >= 1"),
+        (lambda d: d["holo"].append([0, 2, "1"]), "slot (n=0, gamma=0) is given twice"),
+        (lambda d: d["holo"].append([4, 0, "1/0"]), "'1/0' is not a rational number"),
+        (lambda d: d["nonholo"].append([-4, 0]), "not enough values to unpack"),
+    ], ids=["level-0", "trunc-negative", "repeated", "zero-denominator", "short-row"])
+    def test_reader_errors_name_the_layout(self, edit, why):
+        # every error of the reader, the frame check included, is prefixed
+        data = self.data(1, "1/2", "rho", [[0, 0, "1"]], trunc=10)
+        edit(data)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"malformed expansion JSON: {why}")):
+            VVExpansion.from_json(data)
+
     @pytest.mark.parametrize("row", [
         [1.9, 1, "2"], [1.0, 1, "2"], ["1", 1, "2"], [1, "1", "2"],
         [True, True, "2"], [1, 1.0, "2"], [1.5, 1, "0"],
@@ -712,6 +746,8 @@ class TestDecomposeOracle:
             decompose([basis[0], wrong], basis)
         with pytest.raises(DecompositionError, match="mismatched"):
             decompose([basis[0], theta_series(3, 24)], basis)
+        with pytest.raises(DecompositionError, match="empty basis"):
+            decompose([theta_series(1, 9)], [])
 
 
 class TestFormalXi:
