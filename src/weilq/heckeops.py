@@ -2,21 +2,24 @@
 
 All operators scatter stored entries into their output slots, so the cost
 follows the entry count, not the window; holo and nonholo tables transform
-alike.  The scatter costs at most one Fraction operation per contribution
-and drops cancelling slots as it goes.  What depends only on the operator's
-index, the weight and the representation (the T_p factors, the V_l divisor
-weights, and the V_l root tables, which see N only mod l/a) is computed once
-and cached under keys that leave out N, so the caches stay small at any
-level; a call computes only what needs N.  Operator results come from
-f._with, which keeps weight, rep and radical.  Each function returns a fresh
-expansion whose truncation w records the tight range on which the output is
-exact, except that level_u(f, 1) and level_v(f, 1) return f itself.  Both
-tables keep outputs in the one window |n| <= w: every operator maps an index
-m to one of its sign (m/p^2, m, p^2 m or a^2 m), so nonholo keeps n <= -1
-and a radical table n >= 1 with no bound of their own.  On radical (formal
-shadow) tables the operators are transported through formal_xi: carrying
-the implicit sqrt(m/4N) through the index formulas turns T_p and V_l into
-the plain kernels at weight k - 1, up to a global power of p or l.
+alike, and neither reads the other: an operator maps holo to holo and
+nonholo to nonholo, which the xi suite relies on when it runs its left
+sides on the nonholo table alone.  The scatter costs at most one Fraction
+operation per contribution and drops cancelling slots as it goes.  What
+depends only on the operator's index, the weight and the representation
+(the T_p factors, the V_l divisor weights, and the V_l root tables, which
+see N only mod l/a) is computed once and cached under keys that leave out
+N, so the caches stay small at any level; a call computes only what needs
+N.  Operator results come from f._with, which keeps weight, rep and
+radical.  Each function returns a fresh expansion whose truncation w
+records the tight range on which the output is exact, except that
+level_u(f, 1) and level_v(f, 1) return f itself.  Both tables keep outputs
+in the one window |n| <= w: every operator maps an index m to one of its
+sign (m/p^2, m, p^2 m or a^2 m), so nonholo keeps n <= -1 and a radical
+table n >= 1 with no bound of their own.  On radical (formal shadow) tables
+the operators are transported through formal_xi: carrying the implicit
+sqrt(m/4N) through the index formulas turns T_p and V_l into the plain
+kernels at weight k - 1, up to a global power of p or l.
 """
 
 from __future__ import annotations

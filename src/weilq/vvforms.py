@@ -29,6 +29,9 @@ class DecompositionError(ValueError):
 
 def symmetry_sign(weight: Fraction, rep: int) -> int:
     """The sign eps relating components gamma and -gamma."""
+    if not isinstance(weight, (int, Fraction)):
+        raise ValueError(f"weight must be an int or a Fraction, "
+                         f"not {type(weight).__name__}")
     if rep == 1:
         e = weight - Fraction(1, 2)
     elif rep == -1:

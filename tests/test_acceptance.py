@@ -5,7 +5,9 @@ parameters and reports a single PASS/FAIL line (visible with ``pytest -s`` or
 on failure).  The suites live in ``weilq.verify`` and are the same ones
 exposed by ``weilq verify``.  The case counts pin the default scale; criteria
 1-3 are also pinned at the scale of the perfbench ``products`` workload and
-must fail every case when the Borcherds product is off by one coefficient.
+must fail every case when the Borcherds product is off by one coefficient;
+criteria 4 and 5 run at a small scale with the operators wrapped, to check
+that each case makes each operator image once.
 """
 
 import pytest
@@ -115,3 +117,46 @@ def test_lift_criteria_fail_every_case_on_a_wrong_product(monkeypatch, name,
     assert result.cases == len(result.failures) == cases
     for failure in result.failures:
         assert set(failure) == {"N", "d_class", "d", "witness"}
+
+
+# criteria 4 and 5 at a small scale, with the operators wrapped
+GUARD_SCALES = [("commute", {"n_max": 6, "count": 10, "op_max": 3, "trunc": 60}, 180),
+                ("xi", {"n_max": 6, "count": 8, "op_max": 3, "trunc": 100}, 192)]
+
+
+@pytest.mark.parametrize("name, params, count", GUARD_SCALES,
+                         ids=[name for name, _, _ in GUARD_SCALES])
+def test_operator_suites_make_each_image_once(monkeypatch, name, params, count):
+    """No case applies an operator twice to one input at one index, and the
+    xi suite's left sides see f's nonholo table alone."""
+    cases = []  # per case: [(operator, input, index)], inputs kept alive
+
+    def starting(real):
+        def wrapped(*args, **kwargs):
+            cases.append([])
+            return real(*args, **kwargs)
+        return wrapped
+
+    def recording(op, real):
+        def wrapped(f, index):
+            cases[-1].append((op, f, index))
+            return real(f, index)
+        return wrapped
+
+    monkeypatch.setattr(verify, "random_supported",
+                        starting(verify.random_supported))
+    for op in ("hecke_tp", "level_u", "level_v", "apply_aut"):
+        monkeypatch.setattr(verify, op, recording(op, getattr(verify, op)))
+    result = run_suite(name, **params)[0]
+    assert result.ok and result.cases == count
+    for calls in cases:
+        keys = [(op, id(f), index) for op, f, index in calls]
+        assert len(keys) == len(set(keys)), calls
+    calls = [call for case in cases for call in case]
+    # the draws reach d = 1 or l = 1, where an image would repeat
+    assert any(op in ("level_u", "level_v") and index == 1
+               for op, _, index in calls)
+    if name == "xi":
+        left = [f for _, f, _ in calls if not f.radical]
+        assert not any(f.holo for f in left)
+        assert sum(bool(f.nonholo) for f in left) > len(left) // 2

@@ -379,6 +379,33 @@ class TestGatherOracle:
             assert op(g, index).holo[slot] == rest
 
 
+class TestTablesDoNotMix:
+    """Each operator maps holo to holo and nonholo to nonholo, reading only
+    its own table: the xi suite runs its left sides on the nonholo table
+    alone and relies on this."""
+
+    def test_each_output_table_reads_only_its_own_input_table(self):
+        checked = both = 0
+        for N in (1, 2, 5, 6, 10):
+            for k in (F(1, 2), F(3, 2), F(5, 2)):
+                for rep in (1, -1):
+                    f = random_supported(N, k, rep, seed=70 + 10 * N + rep,
+                                         trunc=300)
+                    only_holo = f._with(f.holo, {}, f.trunc)
+                    only_nonholo = f._with({}, f.nonholo, f.trunc)
+                    ops = ([lambda x, p=p: hecke_tp(x, p) for p in _good_primes(N, (3, 5))]
+                           + [lambda x, d=d: level_u(x, d) for d in (2, 3)]
+                           + [lambda x, ell=ell: level_v(x, ell) for ell in (2, 3, 4)]
+                           + [lambda x, c=c: apply_aut(x, c) for c in exact_divisors(N)])
+                    for op in ops:
+                        g = op(f)
+                        assert g.nonholo == op(only_nonholo).nonholo, (N, k, rep)
+                        assert g.holo == op(only_holo).holo, (N, k, rep)
+                        checked += 1
+                        both += bool(g.holo and g.nonholo)
+        assert (checked, both) == (270, 246)  # both tables compared in most
+
+
 class TestKernelCaches:
     def test_cache_keys_do_not_depend_on_the_level(self):
         # a cache keyed on N would keep growing over the second half of the

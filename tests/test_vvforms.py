@@ -46,6 +46,19 @@ class TestSymmetrySign:
         with pytest.raises(ValueError):
             symmetry_sign(F(1, 2), 0)
 
+    @pytest.mark.parametrize("weight, name", [(0.5, "float"), ("1/2", "str")])
+    def test_rejects_weight_of_another_type(self, weight, name):
+        for rep in (1, -1):
+            with pytest.raises(ValueError, match=f"int or a Fraction, not {name}"):
+                symmetry_sign(weight, rep)
+        with pytest.raises(ValueError, match=f"not {name}"):
+            VVExpansion(1, weight, 1, {}, {}, 10).validate()
+
+    def test_bool_weight_is_not_half_integral(self):
+        for rep in (1, -1):
+            with pytest.raises(ValueError, match="weight True is not half-integral"):
+                symmetry_sign(True, rep)
+
 
 class TestThetaSeries:
     def test_constant_term(self):
