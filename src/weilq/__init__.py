@@ -11,7 +11,7 @@ fractions.
 
 from .borcherds import (ProductResult, borcherds_product, eta_product,
                         exponent_table, weyl_vector)
-from .discform import (atkin_lehner, divisor_classes, divisors, exact_divisors,
+from .discform import (atkin_lehner, divisor_classes, exact_divisors,
                        euler_phi, index_gamma0)
 from .divisors import (CuspClass, CuspDivisor, MatchingError, cusp_classes,
                        cusp_space_dimension, eta_divisor, eta_order,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FracSeries", "eta_series",
-    "atkin_lehner", "divisors", "exact_divisors", "divisor_classes",
+    "atkin_lehner", "exact_divisors", "divisor_classes",
     "euler_phi", "index_gamma0",
     "VVExpansion", "theta_series", "apply_aut", "basis_m_half",
     "decompose", "formal_xi", "random_supported", "DecompositionError",

@@ -77,7 +77,8 @@ def atkin_lehner(N: int, c: int, gamma: int) -> int:
     eps = 2c * (c^-1 mod N/c) - 1, which is = -1 mod 2c and = 1 mod 2N/c
     (since c * c^-1 = 1 mod N/c).
     """
-    if not (1 <= c <= N and N % c == 0 and gcd(c, N // c) == 1):
+    if not (type(c) is int and 1 <= c <= N and N % c == 0
+            and gcd(c, N // c) == 1):
         raise ValueError(f"{c} is not an exact divisor of {N}")
     if not 0 <= gamma < 2 * N:
         raise ValueError(f"component index {gamma} is not a residue mod {2 * N}")

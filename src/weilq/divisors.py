@@ -69,7 +69,7 @@ def _order_table(N: int) -> dict:
 def _order_row(N: int, d: int) -> dict:
     """Row d of the order table; d must be a positive divisor of N."""
     row = _order_table(N).get(d)
-    if row is None:
+    if row is None or type(d) is not int:
         raise ValueError(f"d = {d!r} is not a positive divisor of N = {N}")
     return row
 
@@ -86,7 +86,7 @@ def eta_order(N: int, d: int, c: int) -> Fraction:
     d and c must be positive divisors of N.
     """
     order = _order_row(N, d).get(c)
-    if order is None:
+    if order is None or type(c) is not int:
         raise ValueError(f"c = {c!r} is not a positive divisor of N = {N}")
     return order
 

@@ -5,21 +5,21 @@ follows the entry count, not the window; holo and nonholo tables transform
 alike, and neither reads the other: an operator maps holo to holo and
 nonholo to nonholo, which the xi suite relies on when it runs its left
 sides on the nonholo table alone.  The scatter costs at most one Fraction
-operation per contribution and drops cancelling slots as it goes.  What
-depends only on the operator's index, the weight and the representation
-(the T_p factors, the V_l divisor weights, and the V_l root tables, which
-see N only mod l/a) is computed once and cached under keys that leave out
-N, so the caches stay small at any level; a call computes only what needs
-N.  Operator results come from f._with, which keeps weight, rep and
-radical.  Each function returns a fresh expansion whose truncation w
-records the tight range on which the output is exact, except that
-level_u(f, 1) and level_v(f, 1) return f itself.  Both tables keep outputs
-in the one window |n| <= w: every operator maps an index m to one of its
-sign (m/p^2, m, p^2 m or a^2 m), so nonholo keeps n <= -1 and a radical
-table n >= 1 with no bound of their own.  On radical (formal shadow) tables
-the operators are transported through formal_xi: carrying the implicit
-sqrt(m/4N) through the index formulas turns T_p and V_l into the plain
-kernels at weight k - 1, up to a global power of p or l.
+operation per contribution and drops cancelling slots as it goes.  T_p and
+V_l each keep one memo of what their index decides, keyed without N (V_l
+sees N only as N mod l), so the memos stay small at any level.  The
+operators assume a table that passes validate() and do not check it: one
+validate() per call costs about as much as the operator.  Results come
+from f._with, which keeps weight, rep and radical.  Each function returns
+a fresh expansion whose truncation w records the tight range on which the
+output is exact, except that level_u(f, 1) and level_v(f, 1) return f
+itself.  Both tables keep outputs in the one window |n| <= w: every
+operator maps an index m to one of its sign (m/p^2, m, p^2 m or a^2 m), so
+nonholo keeps n <= -1 and a radical table n >= 1 with no bound of their
+own.  On radical (formal shadow) tables the operators are transported
+through formal_xi: carrying the implicit sqrt(m/4N) through the index
+formulas turns T_p and V_l into the plain kernels at weight k - 1, up to a
+global power of p or l.
 """
 
 from __future__ import annotations
@@ -31,14 +31,6 @@ from math import gcd
 from .discform import divisors, prime_factors
 from .fracq import add_into
 from .vvforms import VVExpansion
-
-
-def _require_good_prime(p: int, N: int) -> None:
-    if p < 2 or prime_factors(p) != [p]:
-        raise ValueError(f"{p} is not prime")
-    if gcd(p, 2 * N) != 1:
-        raise ValueError(f"prime {p} divides 2N = {2 * N}; this operator "
-                         "is only defined away from the level")
 
 
 def legendre(a: int, p: int) -> int:
@@ -63,10 +55,13 @@ def _tp_factors(p: int, rep: int, weight: Fraction, radical: bool) -> tuple:
     mid[m % p] = (rep*m/p) p^(k-3/2), None where p divides m; and p^(2k-2),
     at the kernel weight k (k - 1 on a radical table).  A radical table's
     global factor p is folded into all three, so no pass over the output
-    applies it.
+    applies it.  A p that is not an int prime raises ValueError, on every
+    call, as lru_cache keeps no exception.
     Keys are typed, so a weight of another type that equals a Fraction is
     not served that Fraction's factors.
     """
+    if type(p) is not int or p < 2 or prime_factors(p) != [p]:
+        raise ValueError(f"{p} is not prime")
     kernel, scale = (weight - 1, p) if radical else (weight, 1)
     w1 = _int_pow(p, kernel - Fraction(3, 2))
     chi_w1 = {1: scale * w1, -1: -scale * w1}
@@ -122,41 +117,35 @@ def _u_table(table: dict, N: int, d: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=256)
-def _v_roots(n_mod: int, count: int) -> tuple:
-    """roots[delta % count][r]: the t < count with N t^2 + delta t = r mod count.
-
-    The roots depend on N only through n_mod = N % count, so the cache holds
-    at most count keys for each count = ell/a in use, at any level.  Every
-    call shares the returned tables, so nothing may change them.
-    """
-    roots = tuple({} for _ in range(count))
-    for delta, by_res in enumerate(roots):
-        for t in range(count):
-            by_res.setdefault((n_mod * t * t + delta * t) % count, []).append(t)
-    return roots
-
-
 @lru_cache(maxsize=256, typed=True)
-def _v_factors(ell: int, weight: Fraction, radical: bool) -> tuple:
-    """(a, a^2, ell/a, factor) for each divisor a of ell.
+def _v_plan(ell: int, n_mod: int, weight: Fraction, radical: bool) -> tuple:
+    """(a, a^2, ell/a, factor, roots) for each divisor a of ell.
 
     The factor multiplies a's contributions: a^(k-1/2) at the kernel weight
     k (k - 1 on a radical table), times the global ell^(3/2-k) of a radical
-    table, and None where that is 1.  None of it depends on N.  Keys are
-    typed, as in _tp_factors.
+    table, and None where that is 1.  roots[delta % c][r] lists the t < c
+    with N t^2 + delta t = r mod c for c = ell/a; they see N only mod c,
+    which n_mod = N % ell fixes, so the cache holds at most ell keys per
+    index, weight and table kind at any level.  Keys are typed, as in
+    _tp_factors.  Every call shares the returned tables, so nothing may
+    change them.
     """
     kernel = weight - 1 if radical else weight
     a_exp = kernel - Fraction(1, 2)
     pref = _int_pow(ell, Fraction(3, 2) - weight) if radical else 1
     out = []
     for a in divisors(ell):
+        count = ell // a
+        roots = tuple({} for _ in range(count))
+        for delta, by_res in enumerate(roots):
+            for t in range(count):
+                by_res.setdefault((n_mod * t * t + delta * t) % count, []).append(t)
         w = pref * _int_pow(a, a_exp)
-        out.append((a, a * a, ell // a, None if w == 1 else w))
+        out.append((a, a * a, count, None if w == 1 else w, roots))
     return tuple(out)
 
 
-def _v_table(table: dict, N: int, rep: int, factors: tuple, w: int) -> dict:
+def _v_table(table: dict, N: int, rep: int, plan: tuple, w: int) -> dict:
     """Divisor-sum scatter for the index-spreading operator.
 
     At output level N*ell the slot (n, gamma) collects the weight of a times
@@ -165,16 +154,15 @@ def _v_table(table: dict, N: int, rep: int, factors: tuple, w: int) -> dict:
     and a divisor a of ell feed (a^2 m, a*(delta + 2N t)), of the sign of m,
     for the t < ell/a where ell/a divides N t^2 + delta t + (delta^2 -
     rep*m)/(4N), an integer by the support rule; only outputs with |n| <= w
-    are kept.  The roots t come from _v_roots and the weights from
-    _v_factors.  Each (entry, a) costs at most one Fraction operation,
-    shared by its roots t, and cancelling slots drop out as it goes.
+    are kept.  The weights and roots t come from _v_plan.  Each (entry, a)
+    costs at most one Fraction operation, shared by its roots t, and
+    cancelling slots drop out as it goes.
     """
     two_n = 2 * N
     four_n = 2 * two_n
     lo = -w
     out = {}
-    for a, a2, count, weight in factors:
-        roots = _v_roots(N % count, count)
+    for a, a2, count, weight, roots in plan:
         step = a * two_n
         for (m, delta), c in table.items():
             n = a2 * m
@@ -197,11 +185,14 @@ def hecke_tp(f: VVExpansion, p: int) -> VVExpansion:
 
     The reliable window shrinks by p^2 because the leading term reads the
     coefficient at p^2 n.  On a radical table of weight k the result is p
-    times the plain three-term kernel taken at weight k - 1.
+    times the plain three-term kernel taken at weight k - 1.  f is assumed
+    to pass validate(), which is not checked.
     """
-    _require_good_prime(p, f.N)
-    w = f.trunc // (p * p)
     factors = _tp_factors(p, f.rep, f.weight, f.radical)
+    if gcd(p, 2 * f.N) != 1:
+        raise ValueError(f"prime {p} divides 2N = {2 * f.N}; this operator "
+                         "is only defined away from the level")
+    w = f.trunc // (p * p)
     return f._with(_tp_table(f.holo, f.N, p, factors, w),
                    _tp_table(f.nonholo, f.N, p, factors, w), w)
 
@@ -212,8 +203,9 @@ def level_u(f: VVExpansion, d: int) -> VVExpansion:
     Indices scale by d^2, so the reliable integer window grows by d^2 (the
     underlying rational exponent window n/(4N d^2) is unchanged).  The
     radical weight re-bases itself, so radical tables move the same way.
+    f is assumed to pass validate(), which is not checked.
     """
-    if d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError("index raising requires a positive integer")
     if d == 1:
         return f
@@ -226,12 +218,13 @@ def level_v(f: VVExpansion, ell: int) -> VVExpansion:
 
     On a radical table of weight k the a-weights are a^(k-3/2) and a global
     factor ell^(3/2-k) applies; at k = 3/2 this is a plain divisor sum.
+    f is assumed to pass validate(), which is not checked.
     """
-    if ell < 1:
+    if type(ell) is not int or ell < 1:
         raise ValueError("index spreading requires a positive integer")
     if ell == 1:
         return f
     w = f.trunc
-    factors = _v_factors(ell, f.weight, f.radical)
-    return f._with(_v_table(f.holo, f.N, f.rep, factors, w),
-                   _v_table(f.nonholo, f.N, f.rep, factors, w), w, f.N * ell)
+    plan = _v_plan(ell, f.N % ell, f.weight, f.radical)
+    return f._with(_v_table(f.holo, f.N, f.rep, plan, w),
+                   _v_table(f.nonholo, f.N, f.rep, plan, w), w, f.N * ell)

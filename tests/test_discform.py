@@ -82,6 +82,11 @@ class TestInvolutions:
                     with pytest.raises(ValueError, match="is not an exact divisor"):
                         atkin_lehner(N, c, 0)
 
+    def test_rejects_c_that_is_not_an_int(self):
+        for c in (True, 2.0, F(2)):
+            with pytest.raises(ValueError, match="is not an exact divisor"):
+                atkin_lehner(6, c, 0)
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             atkin_lehner(6, 2, 12)

@@ -147,6 +147,17 @@ class TestEtaOrders:
             with pytest.raises(ValueError, match="positive divisor"):
                 eta_divisor(6, d)
 
+    def test_eta_order_rejects_a_float_divisor(self):
+        # 2.0 hashes equal to 2, so a bare dict lookup would find row 2
+        for d, c in ((2.0, 3), (2, 3.0), (True, 3)):
+            with pytest.raises(ValueError, match="is not a positive divisor"):
+                eta_order(6, d, c)
+
+    def test_eta_divisor_rejects_a_float_divisor(self):
+        for d in (2.0, True):
+            with pytest.raises(ValueError, match="is not a positive divisor"):
+                eta_divisor(6, d)
+
     def test_ligozat_per_factor_sum(self):
         # Ligozat's sum term by term over delta in {d, N/d}, not the
         # combined numerator the order table is built from
@@ -361,7 +372,7 @@ class TestCaches:
             "weilq.divisors._order_table", "weilq.divisors._matching_inverse",
             "weilq.divisors.reduced_forms", "weilq.divisors._coset_monomials",
             "weilq.divisors._degrees_by_root", "weilq.heckeops._tp_factors",
-            "weilq.heckeops._v_roots", "weilq.heckeops._v_factors",
+            "weilq.heckeops._v_plan",
             "weilq.jacobi._euler_recurrence", "weilq.jacobi._eta_pair",
             "weilq.cli._build_parser"}
         unbounded = {name for name, cached in caches.items()

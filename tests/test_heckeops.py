@@ -165,6 +165,19 @@ class TestHeckeTp:
             with pytest.raises(ValueError, match="not prime"):
                 hecke_tp(f, p)
 
+    def test_rejects_a_prime_that_is_not_an_int(self):
+        f = theta_series(2, 40)
+        for p in (3.0, F(3), True):
+            with pytest.raises(ValueError, match=f"^{p} is not prime"):
+                hecke_tp(f, p)
+
+    def test_level_check_is_not_cached_with_the_factors(self):
+        # _tp_factors leaves N out of its key, so a cached p = 3 must not
+        # let a level divisible by 3 through
+        hecke_tp(theta_series(1, 100), 3)
+        with pytest.raises(ValueError, match="divides 2N"):
+            hecke_tp(theta_series(3, 100), 3)
+
     def test_commutes_with_aut(self):
         f = random_supported(6, F(1, 2), 1, seed=5, trunc=250)
         a = apply_aut(hecke_tp(f, 5), 2)
@@ -208,6 +221,14 @@ class TestLevelU:
         with pytest.raises(ValueError):
             level_u(theta_series(2, 10), 0)
 
+    def test_rejects_bool_index(self):
+        with pytest.raises(ValueError, match="requires a positive integer"):
+            level_u(theta_series(2, 40), True)
+
+    def test_rejects_float_index(self):
+        with pytest.raises(ValueError, match="requires a positive integer"):
+            level_u(theta_series(2, 40), 2.0)
+
 
 class TestLevelV:
     def test_identity(self):
@@ -244,6 +265,14 @@ class TestLevelV:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             level_v(theta_series(2, 10), -1)
+
+    def test_rejects_bool_index(self):
+        with pytest.raises(ValueError, match="requires a positive integer"):
+            level_v(theta_series(2, 40), True)
+
+    def test_rejects_float_index(self):
+        with pytest.raises(ValueError, match="requires a positive integer"):
+            level_v(theta_series(2, 40), 2.0)
 
     def test_rejects_weight_that_is_not_half_integral(self):
         f = VVExpansion(1, F(1), 1, {(1, 1): F(1)}, {}, 100)
@@ -411,7 +440,7 @@ class TestKernelCaches:
         # a cache keyed on N would keep growing over the second half of the
         # sweep (and with it the memory a long run holds)
         caches = [c for c in vars(heckeops).values() if hasattr(c, "cache_info")]
-        assert len(caches) == 3
+        assert len(caches) == 2
         for c in caches:
             c.cache_clear()
 
@@ -427,10 +456,9 @@ class TestKernelCaches:
 
         sizes = sweep(range(1, 31))
         assert sweep(range(31, 61)) == sizes
-        # T_p: 4 primes x 2 reps x 2 weights x plain/radical; V_l factors:
-        # 6 indices x 2 weights x plain/radical; V_l roots: N mod c for
-        # each c = l/a in 1..7
-        assert sorted(sizes) == sorted([4 * 2 * 2 * 2, 6 * 2 * 2, sum(range(1, 8))])
+        # T_p: 4 primes x 2 reps x 2 weights x plain/radical; V_l: N mod l
+        # for each l in 2..7 x 2 weights x plain/radical
+        assert sorted(sizes) == [4 * 2 * 2 * 2, sum(range(2, 8)) * 2 * 2]
         assert all(c.cache_info().currsize < c.cache_info().maxsize for c in caches)
 
     def test_outcome_does_not_depend_on_earlier_calls(self):

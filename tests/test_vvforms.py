@@ -525,6 +525,14 @@ class TestApplyAut:
             ok, wit = apply_aut(apply_aut(th, c), c).agrees_with(th)
             assert ok, (c, wit)
 
+    def test_rejects_bool_index(self):
+        with pytest.raises(ValueError, match="True is not an exact divisor"):
+            apply_aut(theta_series(2, 40), True)
+
+    def test_rejects_float_index(self):
+        with pytest.raises(ValueError, match="2.0 is not an exact divisor"):
+            apply_aut(theta_series(2, 40), 2.0)
+
     def test_keeps_invariants(self):
         f = random_supported(6, F(1, 2), 1, seed=11, trunc=60)
         apply_aut(f, 3).validate()
